@@ -250,9 +250,10 @@ func BenchmarkFig1Incremental(b *testing.B) {
 // BenchmarkResimulatePerturbed times the fleet layer alone: Perturb +
 // Resimulate with 1 and 10 dirty routers out of the calibrated fleet at
 // the suite's dataset resolution, plus 1 dirty router out of a generated
-// 1k-router hierarchical fleet (the chunk-retained path, at the
-// optimize-scale artifact's hourly resolution). The replay cost should
-// scale with the dirty count, not the fleet size.
+// 1k- and a 10k-router hierarchical fleet (the chunk-retained path, at
+// the optimize-scale artifact's hourly resolution). The rebuild and
+// replay cost scales with the dirty count, not the fleet size; what grows
+// with the fleet is the splice of the clean routers' retained columns.
 func BenchmarkResimulatePerturbed(b *testing.B) {
 	cases := []struct {
 		name string
@@ -273,6 +274,12 @@ func BenchmarkResimulatePerturbed(b *testing.B) {
 		{"routers=1k", ispnet.Config{
 			Seed:     42,
 			Routers:  1000,
+			Duration: 7 * 24 * time.Hour,
+			SNMPStep: time.Hour,
+		}, 1},
+		{"routers=10k", ispnet.Config{
+			Seed:     42,
+			Routers:  10000,
 			Duration: 7 * 24 * time.Hour,
 			SNMPStep: time.Hour,
 		}, 1},

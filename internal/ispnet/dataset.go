@@ -141,7 +141,7 @@ func (n *Network) RunWithEvents(extra []FleetEvent) (*Dataset, error) {
 	if err := playShards(shards, n.Config.Workers); err != nil {
 		return nil, err
 	}
-	return n.assembleDataset(steps, shards, evs, capacity), nil
+	return n.assembleDataset(steps, shards, describeFleetEvents(evs), capacity), nil
 }
 
 // stepGrid returns the shared SNMP-cadence step grid; every shard walks
@@ -198,7 +198,7 @@ func (n *Network) newShard(r *Router, m *meter.Meter, evs []scheduledEvent, step
 // assembleDataset reduces played shards into the network-wide dataset in
 // fixed fleet order, so the result is bit-identical for every worker
 // count — and for any replayed/reused shard mix in the incremental path.
-func (n *Network) assembleDataset(steps []time.Time, shards []*routerShard, evs []FleetEvent, capacity units.BitRate) *Dataset {
+func (n *Network) assembleDataset(steps []time.Time, shards []*routerShard, events []Event, capacity units.BitRate) *Dataset {
 	ds := &Dataset{
 		Network:          n,
 		TotalPower:       timeseries.NewWithCap("total-power", len(steps)),
@@ -210,7 +210,7 @@ func (n *Network) assembleDataset(steps []time.Time, shards []*routerShard, evs 
 		SNMPPower:        make(map[string]*timeseries.Series),
 		IfaceRates:       make(map[string]map[string]*timeseries.Series),
 		IfaceProfiles:    make(map[string]map[string]model.ProfileKey),
-		Events:           describeFleetEvents(evs),
+		Events:           events,
 	}
 
 	// Deterministic reduction: totals sum the shards in fleet order at

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"fantasticjoules/internal/device"
 	"fantasticjoules/internal/meter"
 	"fantasticjoules/internal/units"
 )
@@ -13,8 +14,8 @@ import (
 // unlike the closure-based scheduledEvent they compile into — can be
 // stored, merged, re-sorted, and re-resolved against freshly rebuilt
 // routers, which is what makes incremental replay possible: a dirty
-// router is rebuilt pristine and its event queue recompiled against the
-// new object.
+// router is rebuilt pristine from its own blueprint (no fleet-wide
+// Build) and its event queue recompiled against the new object.
 type FleetOp string
 
 const (
@@ -147,8 +148,7 @@ func describeFleetEvents(evs []FleetEvent) []Event {
 
 // compileEvents resolves a sorted declarative schedule against the
 // network's current router objects, producing the closure form the shard
-// replay consumes. Compile each replay: after a dirty router is rebuilt,
-// the closures must capture the new *Router.
+// replay consumes.
 func (n *Network) compileEvents(evs []FleetEvent) ([]scheduledEvent, error) {
 	out := make([]scheduledEvent, 0, len(evs))
 	for _, e := range evs {
@@ -159,120 +159,252 @@ func (n *Network) compileEvents(evs []FleetEvent) ([]scheduledEvent, error) {
 		if !ok {
 			return nil, fmt.Errorf("ispnet: event %s: unknown router %q", e.Op, e.Router)
 		}
-		e := e
-		var apply func() error
-		switch e.Op {
-		case OpAdminDown:
-			apply = func() error { return r.Device.SetAdmin(e.Iface, false) }
-		case OpAdminUp:
-			apply = func() error { return r.Device.SetAdmin(e.Iface, true) }
-		case OpLinkDown:
-			apply = func() error { return r.Device.SetLink(e.Iface, false) }
-		case OpLinkUp:
-			apply = func() error { return r.Device.SetLink(e.Iface, true) }
-		case OpUnplug:
-			apply = func() error {
-				if err := r.Device.SetAdmin(e.Iface, false); err != nil {
-					return err
-				}
-				n.dropInterface(r, e.Iface)
-				return r.Device.UnplugTransceiver(e.Iface)
-			}
-		case OpSleep:
-			apply = func() error {
-				if !hasInterface(r, e.Iface) {
-					return nil
-				}
-				return r.Device.SetAdmin(e.Iface, false)
-			}
-		case OpWake:
-			apply = func() error {
-				if !hasInterface(r, e.Iface) {
-					return nil
-				}
-				return r.Device.SetAdmin(e.Iface, true)
-			}
-		case OpAddInterfaces:
-			apply = func() error { return n.addInterfaces(r, e.Count) }
-		case OpPowerCycle:
-			apply = func() error { return r.Device.PowerCycle(e.PSU) }
-		case OpPSUOffline:
-			apply = func() error { return r.Device.SetPSUOnline(e.PSU, false) }
-		case OpPSUOnline:
-			apply = func() error { return r.Device.SetPSUOnline(e.PSU, true) }
-		case OpScaleLoad:
-			apply = func() error {
-				for i := range r.Interfaces {
-					if r.Interfaces[i].Spare {
-						continue
-					}
-					r.Interfaces[i].MeanLoad = units.BitRate(r.Interfaces[i].MeanLoad.BitsPerSecond() * e.Factor)
-					// Hierarchical loads are evaluated from the per-cohort
-					// demand, not MeanLoad; scale both so the op means the
-					// same thing on generated fleets (SubDemand is all-zero
-					// on the calibrated build, where this is a no-op).
-					for c := range r.Interfaces[i].SubDemand {
-						r.Interfaces[i].SubDemand[c] *= e.Factor
-					}
-				}
-				return nil
-			}
-		}
-		out = append(out, scheduledEvent{at: e.At, desc: e.describe(), router: e.Router, apply: apply})
+		out = append(out, n.compileEvent(r, e))
 	}
 	return out, nil
 }
 
+// compileRouterEvents compiles one router's sorted schedule against the
+// given router object — for a Fleet, the blueprint rebuild a Resimulate
+// stages, which the network does not hold yet. Every event must name r.
+func (n *Network) compileRouterEvents(r *Router, evs []FleetEvent) ([]scheduledEvent, error) {
+	out := make([]scheduledEvent, 0, len(evs))
+	for _, e := range evs {
+		if err := e.validate(); err != nil {
+			return nil, err
+		}
+		if e.Router != r.Name {
+			return nil, fmt.Errorf("ispnet: event %s for %q compiled against %q", e.Op, e.Router, r.Name)
+		}
+		out = append(out, n.compileEvent(r, e))
+	}
+	return out, nil
+}
+
+// compileEvent binds one validated event to router r. Compile each
+// replay: after a dirty router is rebuilt, the closures must capture the
+// new *Router.
+func (n *Network) compileEvent(r *Router, e FleetEvent) scheduledEvent {
+	var apply func() error
+	switch e.Op {
+	case OpAdminDown:
+		apply = func() error { return r.Device.SetAdmin(e.Iface, false) }
+	case OpAdminUp:
+		apply = func() error { return r.Device.SetAdmin(e.Iface, true) }
+	case OpLinkDown:
+		apply = func() error { return r.Device.SetLink(e.Iface, false) }
+	case OpLinkUp:
+		apply = func() error { return r.Device.SetLink(e.Iface, true) }
+	case OpUnplug:
+		apply = func() error {
+			if err := r.Device.SetAdmin(e.Iface, false); err != nil {
+				return err
+			}
+			n.dropInterface(r, e.Iface)
+			return r.Device.UnplugTransceiver(e.Iface)
+		}
+	case OpSleep:
+		apply = func() error {
+			if !hasInterface(r, e.Iface) {
+				return nil
+			}
+			return r.Device.SetAdmin(e.Iface, false)
+		}
+	case OpWake:
+		apply = func() error {
+			if !hasInterface(r, e.Iface) {
+				return nil
+			}
+			return r.Device.SetAdmin(e.Iface, true)
+		}
+	case OpAddInterfaces:
+		apply = func() error { return n.addInterfaces(r, e.Count) }
+	case OpPowerCycle:
+		apply = func() error { return r.Device.PowerCycle(e.PSU) }
+	case OpPSUOffline:
+		apply = func() error { return r.Device.SetPSUOnline(e.PSU, false) }
+	case OpPSUOnline:
+		apply = func() error { return r.Device.SetPSUOnline(e.PSU, true) }
+	case OpScaleLoad:
+		apply = func() error {
+			for i := range r.Interfaces {
+				if r.Interfaces[i].Spare {
+					continue
+				}
+				r.Interfaces[i].MeanLoad = units.BitRate(r.Interfaces[i].MeanLoad.BitsPerSecond() * e.Factor)
+				// Hierarchical loads are evaluated from the per-cohort
+				// demand, not MeanLoad; scale both so the op means the
+				// same thing on generated fleets (SubDemand is all-zero
+				// on the calibrated build, where this is a no-op).
+				for c := range r.Interfaces[i].SubDemand {
+					r.Interfaces[i].SubDemand[c] *= e.Factor
+				}
+			}
+			return nil
+		}
+	}
+	return scheduledEvent{at: e.At, desc: e.describe(), router: e.Router, apply: apply}
+}
+
 // Fleet is the retained-state form of Simulate. It keeps the built
-// network, the per-router shard results, and the merged event schedule,
+// network, the per-router replay results, and the merged event schedule,
 // so that after Perturb only the routers named by the new events — the
-// dirty set — are rebuilt and replayed; every clean shard's columnar
-// series and summaries are spliced back into the dataset untouched.
-// Resimulate is bit-identical to a cold SimulateWithEvents over the same
-// merged event list (the golden and property tests pin this), because:
+// dirty set — are rebuilt and replayed; every clean router's results are
+// spliced back into the dataset untouched. Resimulate is bit-identical to
+// a cold SimulateWithEvents over the same merged event list (the golden
+// and property tests pin this), because:
 //
 //   - every router's replay is already independent (shards share no
 //     mutable state, per-router rng streams are seeded by fleet index),
-//   - dirty routers are rebuilt from a fresh Build of the same config,
-//     which reproduces their pristine deployment exactly,
+//   - a dirty router is rebuilt from its blueprint — its deployment as
+//     Build left it, captured before any event touched it — and a fresh
+//     device of the same model and seed, which reproduces the pristine
+//     router exactly (blueprint_test.go pins this against Build),
 //   - the PSU snapshot is captured inside each shard's replay, so clean
 //     routers' rng streams are never re-advanced,
-//   - the dataset reduction runs over the full shard list in fleet
+//   - the dataset reduction runs over the full router list in fleet
 //     order, exactly as the cold path does.
 //
-// A Fleet is not safe for concurrent use; a failed Resimulate leaves it
-// unusable (the retained routers may be partially replayed).
+// The work of a Resimulate is O(dirty) except for that reduction: it
+// rebuilds, recompiles and replays only the dirty routers, and merges the
+// new events into a schedule it keeps sorted and described.
+//
+// Resimulate is transactional: the rebuilt routers, their replay results
+// and the new dataset are staged and committed together with the schedule
+// only when the whole replay succeeds. A failed Resimulate drops the
+// pending events and leaves the fleet as it was.
+//
+// A Fleet is not safe for concurrent use.
 type Fleet struct {
 	cfg Config
 	net *Network
 
-	steps    []time.Time
-	capacity units.BitRate
-	// base is the built-in schedule resolved against the pristine build;
-	// it must never be regenerated from the retained (mutated) network.
-	base []FleetEvent
-	// extra accumulates every perturbation ever applied, so a cold
-	// SimulateWithEvents(cfg, extra) reproduces the current state.
-	extra []FleetEvent
+	steps []time.Time
+	// stepNanos is steps in unix nanoseconds: the timestamp column of
+	// every retained chunk.
+	stepNanos []int64
+	capacity  units.BitRate
+	// index maps router name → fleet index, the slot of its retention and
+	// the key of its device seed.
+	index map[string]int
 	// meterSeeds maps instrumented router name → external-meter seed,
 	// captured once (the AutopowerRouters order of the pristine build).
 	meterSeeds map[string]int64
+	// blueprints holds, by fleet index, the pristine form of every router
+	// that has had events scheduled (see routerBlueprint).
+	blueprints map[int]*routerBlueprint
+
+	// base is the built-in schedule resolved against the pristine build
+	// and sorted; it must never be regenerated from the retained (mutated)
+	// network.
+	base []FleetEvent
+	// extra accumulates every committed perturbation in Perturb order, so
+	// a cold SimulateWithEvents(cfg, extra) reproduces the current state.
+	extra []FleetEvent
+	// pending holds the perturbations queued since the last Resimulate.
+	pending []FleetEvent
+	// byRouter is the committed merged schedule split per router, each in
+	// schedule order; described is the whole schedule's event log. Both
+	// are replaced, never mutated, so datasets may share described.
+	byRouter  map[string][]FleetEvent
+	described []Event
 
 	// Exactly one retention representation is populated. The calibrated
 	// fleet keeps live shards (their instrumented traces are part of the
 	// dataset); hierarchical fleets keep the bounded chunk retention of
 	// fleet_chunks.go.
-	shards    []*routerShard
-	chunked   bool
-	chunks    []routerChunks
-	stepNanos []int64
+	shards  []*routerShard
+	chunked bool
+	chunks  []routerChunks
 
-	dirty map[string]bool
-	ds    *Dataset
+	ds *Dataset
+}
+
+// routerBlueprint is a router's pristine deployment: the metadata and
+// interfaces Build gave it, plus what recreates its device — the model
+// spec and the fleet-index seed. Rebuilding from it is O(one router),
+// where a fresh Build is O(fleet).
+//
+// A blueprint must be captured before the first replay that applies an
+// event to the router: events are the only mutation of a router's
+// deployment records (OpUnplug drops an interface, OpAddInterfaces
+// appends some, OpScaleLoad rescales loads), so until then the retained
+// router still holds its pristine interfaces. Capture is lazy — at
+// NewFleet for the routers the built-in schedule touches, at Perturb for
+// the rest — because an eager copy of every interface costs ≈21 MB at
+// 10k routers.
+type routerBlueprint struct {
+	spec   device.ModelSpec
+	seed   int64
+	router Router // Device unset; Interfaces is the blueprint's own copy
+}
+
+func newBlueprint(r *Router, seed int64) *routerBlueprint {
+	b := &routerBlueprint{spec: r.Device.Spec(), seed: seed, router: *r}
+	b.router.Device = nil
+	b.router.Interfaces = append([]Interface(nil), r.Interfaces...)
+	return b
+}
+
+// rebuild returns a fresh router identical to the one Build made: a new
+// device of the same spec, name and seed, with every blueprint
+// transceiver plugged and every non-spare interface brought up, as
+// deploy and deployHier leave them.
+func (b *routerBlueprint) rebuild() (*Router, error) {
+	r := b.router
+	dev, err := device.New(b.spec, r.Name, b.seed)
+	if err != nil {
+		return nil, fmt.Errorf("ispnet: rebuild %s: %w", r.Name, err)
+	}
+	r.Device = dev
+	r.Interfaces = append([]Interface(nil), b.router.Interfaces...)
+	for i := range r.Interfaces {
+		itf := &r.Interfaces[i]
+		if err := dev.PlugTransceiver(itf.Name, itf.Profile.Transceiver, itf.Profile.Speed); err != nil {
+			return nil, fmt.Errorf("ispnet: rebuild %s: %w", r.Name, err)
+		}
+		if itf.Spare {
+			continue
+		}
+		if err := dev.SetAdmin(itf.Name, true); err != nil {
+			return nil, fmt.Errorf("ispnet: rebuild %s: %w", r.Name, err)
+		}
+		if err := dev.SetLink(itf.Name, true); err != nil {
+			return nil, fmt.Errorf("ispnet: rebuild %s: %w", r.Name, err)
+		}
+	}
+	return &r, nil
+}
+
+// capture records the blueprint of the router at fleet index i unless it
+// already has one.
+func (f *Fleet) capture(i int) {
+	if f.blueprints[i] == nil {
+		f.blueprints[i] = newBlueprint(f.net.Routers[i], deviceSeed(f.cfg.Seed, i))
+	}
+}
+
+// replayJob is one router staged for replay: its fleet index, the router
+// object to play (a blueprint rebuild, or the built router on the first
+// play), its merged schedule and that schedule compiled against it.
+type replayJob struct {
+	idx    int
+	router *Router
+	sched  []FleetEvent
+	events []scheduledEvent
+}
+
+// stagedReplay is a replay's output before commit: the new dataset plus
+// the retention of the replayed routers — the full shard list in live
+// mode, or one routerChunks per job in chunk mode.
+type stagedReplay struct {
+	ds     *Dataset
+	shards []*routerShard
+	chunks []routerChunks
 }
 
 // NewFleet builds the network and plays the full study window once,
-// retaining every shard's results for later incremental replays.
+// retaining every router's results for later incremental replays.
 func NewFleet(cfg Config) (*Fleet, error) {
 	n, err := Build(cfg)
 	if err != nil {
@@ -283,12 +415,27 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		net:        n,
 		steps:      n.stepGrid(),
 		capacity:   n.totalCapacity(),
-		base:       n.baseEvents(),
+		index:      make(map[string]int, len(n.Routers)),
 		meterSeeds: make(map[string]int64),
-		dirty:      make(map[string]bool),
+		blueprints: make(map[int]*routerBlueprint),
+		base:       n.baseEvents(),
+		byRouter:   make(map[string][]FleetEvent),
+	}
+	f.stepNanos = make([]int64, len(f.steps))
+	for i, t := range f.steps {
+		f.stepNanos[i] = t.UnixNano()
+	}
+	for i, r := range n.Routers {
+		f.index[r.Name] = i
 	}
 	for i, r := range n.AutopowerRouters() {
 		f.meterSeeds[r.Name] = n.meterSeed(i)
+	}
+	sortFleetEvents(f.base)
+	f.described = describeFleetEvents(f.base)
+	for _, e := range f.base {
+		f.byRouter[e.Router] = append(f.byRouter[e.Router], e)
+		f.capture(f.index[e.Router])
 	}
 	// Generated hierarchical fleets retain encoded chunks instead of live
 	// shards (fleet_chunks.go): they carry no instrumented routers, and at
@@ -296,9 +443,21 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	// heap. The calibrated build keeps the shard path and its traces.
 	f.chunked = n.Hierarchical() && len(f.meterSeeds) == 0
 	metricRuns.Inc()
-	if err := f.replay(nil); err != nil {
+
+	jobs := make([]replayJob, len(n.Routers))
+	for i, r := range n.Routers {
+		sched := f.byRouter[r.Name]
+		compiled, err := n.compileRouterEvents(r, sched)
+		if err != nil {
+			return nil, err
+		}
+		jobs[i] = replayJob{idx: i, router: r, sched: sched, events: compiled}
+	}
+	st, err := f.replay(jobs, f.described)
+	if err != nil {
 		return nil, err
 	}
+	f.commit(jobs, st)
 	return f, nil
 }
 
@@ -307,8 +466,8 @@ func NewFleet(cfg Config) (*Fleet, error) {
 // shards.
 func (f *Fleet) ChunkRetained() bool { return f.chunked }
 
-// Dataset returns the dataset of the last (re)simulation. The caller must
-// treat it as immutable; Resimulate replaces it.
+// Dataset returns the dataset of the last successful (re)simulation. The
+// caller must treat it as immutable; Resimulate replaces it.
 func (f *Fleet) Dataset() *Dataset { return f.ds }
 
 // Network returns the retained network. Mutating it outside Perturb
@@ -316,30 +475,40 @@ func (f *Fleet) Dataset() *Dataset { return f.ds }
 func (f *Fleet) Network() *Network { return f.net }
 
 // Events returns the merged declarative schedule (built-in plus every
-// perturbation), sorted by due time — the event list a cold
-// SimulateWithEvents needs to reproduce the current dataset. Like
-// ExtraEvents it returns a defensive copy: callers may mutate or re-sort
-// the slice without corrupting the retained replay state.
+// perturbation, pending ones included), sorted by due time — the event
+// list a cold SimulateWithEvents needs to reproduce the dataset the next
+// Resimulate produces. Like ExtraEvents it returns a defensive copy:
+// callers may mutate or re-sort the slice without corrupting the
+// retained replay state.
 func (f *Fleet) Events() []FleetEvent {
-	evs := f.mergedEvents()
-	out := make([]FleetEvent, len(evs))
-	copy(out, evs)
+	out := make([]FleetEvent, 0, len(f.base)+len(f.extra)+len(f.pending))
+	out = append(out, f.base...)
+	out = append(out, f.extra...)
+	out = append(out, f.pending...)
+	sortFleetEvents(out)
 	return out
 }
 
 // ExtraEvents returns a copy of every perturbation applied since the
-// fleet was built (the schedule beyond the built-in base events). A cold
+// fleet was built (the schedule beyond the built-in base events), pending
+// ones included. After a Resimulate, a cold
 // SimulateWithEvents(cfg, ExtraEvents()...) reproduces the current
 // dataset bit for bit.
 func (f *Fleet) ExtraEvents() []FleetEvent {
-	out := make([]FleetEvent, len(f.extra))
-	copy(out, f.extra)
-	return out
+	out := make([]FleetEvent, 0, len(f.extra)+len(f.pending))
+	out = append(out, f.extra...)
+	return append(out, f.pending...)
 }
 
 // DirtyRouters returns the number of routers queued for replay by
 // perturbations since the last Resimulate.
-func (f *Fleet) DirtyRouters() int { return len(f.dirty) }
+func (f *Fleet) DirtyRouters() int {
+	dirty := make(map[string]bool)
+	for _, e := range f.pending {
+		dirty[e.Router] = true
+	}
+	return len(dirty)
+}
 
 // Perturb queues declarative events and marks their routers dirty. The
 // events take effect at the next Resimulate; nothing is replayed here.
@@ -349,99 +518,143 @@ func (f *Fleet) Perturb(events ...FleetEvent) error {
 		if err := e.validate(); err != nil {
 			return err
 		}
-		if _, ok := f.net.byName[e.Router]; !ok {
+		if _, ok := f.index[e.Router]; !ok {
 			return fmt.Errorf("ispnet: perturb: unknown router %q", e.Router)
 		}
 	}
 	for _, e := range events {
-		f.extra = append(f.extra, e)
-		f.dirty[e.Router] = true
+		// A router first named here has had no event applied yet, so its
+		// retained interfaces are still pristine.
+		f.capture(f.index[e.Router])
+		f.pending = append(f.pending, e)
 	}
 	return nil
 }
 
 // Resimulate replays the dirty routers against the merged event schedule
-// and splices their fresh shard results into the retained dataset. With
-// no pending perturbations it returns the current dataset unchanged.
+// and splices their fresh results into the retained dataset. With no
+// pending perturbations it returns the current dataset unchanged. On
+// error the pending perturbations are dropped and the fleet — dataset,
+// network, retention and schedule — stays as the last successful
+// Resimulate left it.
 func (f *Fleet) Resimulate() (*Dataset, error) {
-	if len(f.dirty) == 0 {
+	if len(f.pending) == 0 {
 		return f.ds, nil
 	}
-	// Rebuild the dirty routers pristine. Build is deterministic for the
-	// config, and router identity is index-stable across builds, so the
-	// fresh fleet's router i is bit-for-bit the pristine form of the
-	// retained fleet's router i.
-	fresh, err := Build(f.cfg)
+	pending := f.pending
+	f.pending = nil
+
+	// The batch in schedule order: a stable sort, so it merges after the
+	// committed events due at the same instant, as a stable sort of the
+	// whole schedule would place it.
+	batch := append([]FleetEvent(nil), pending...)
+	sortFleetEvents(batch)
+	perRouter := make(map[string][]FleetEvent)
+	var dirty []int
+	for _, e := range batch {
+		if _, ok := perRouter[e.Router]; !ok {
+			dirty = append(dirty, f.index[e.Router])
+		}
+		perRouter[e.Router] = append(perRouter[e.Router], e)
+	}
+	sort.Ints(dirty)
+
+	jobs := make([]replayJob, len(dirty))
+	for k, i := range dirty {
+		r, err := f.blueprints[i].rebuild()
+		if err != nil {
+			return nil, err
+		}
+		sched := mergeByTime(f.byRouter[r.Name], perRouter[r.Name], fleetEventAt)
+		compiled, err := f.net.compileRouterEvents(r, sched)
+		if err != nil {
+			return nil, err
+		}
+		jobs[k] = replayJob{idx: i, router: r, sched: sched, events: compiled}
+	}
+	described := mergeByTime(f.described, describeFleetEvents(batch), eventTime)
+	st, err := f.replay(jobs, described)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range f.net.Routers {
-		if !f.dirty[r.Name] {
-			continue
-		}
-		nr := fresh.Routers[i]
-		if nr.Name != r.Name {
-			return nil, fmt.Errorf("ispnet: rebuild fleet order changed: %q != %q", nr.Name, r.Name)
-		}
-		f.net.Routers[i] = nr
-		f.net.byName[nr.Name] = nr
-	}
-	dirty := f.dirty
-	f.dirty = make(map[string]bool)
-	if err := f.replay(dirty); err != nil {
-		return nil, err
-	}
+	f.extra = append(f.extra, pending...)
+	f.described = described
+	f.commit(jobs, st)
 	return f.ds, nil
 }
 
-func (f *Fleet) mergedEvents() []FleetEvent {
-	evs := make([]FleetEvent, 0, len(f.base)+len(f.extra))
-	evs = append(evs, f.base...)
-	evs = append(evs, f.extra...)
-	sortFleetEvents(evs)
-	return evs
-}
-
-// replay plays the shards in the dirty set (nil means every shard) and
-// reassembles the dataset from the full — part fresh, part retained —
-// shard list. The merged schedule is recompiled each time so event
-// closures capture the current router objects.
-func (f *Fleet) replay(dirty map[string]bool) error {
+// replay plays the jobs (in fleet order) and stages the dataset and the
+// replayed routers' retention. It modifies nothing the fleet retains.
+func (f *Fleet) replay(jobs []replayJob, described []Event) (*stagedReplay, error) {
 	if f.chunked {
-		return f.replayChunked(dirty)
+		return f.replayChunked(jobs, described)
 	}
 	n := f.net
-	evs := f.mergedEvents()
-	compiled, err := n.compileEvents(evs)
-	if err != nil {
-		return err
-	}
-	byRouter := partitionEvents(compiled)
-
-	if f.shards == nil {
-		f.shards = make([]*routerShard, len(n.Routers))
-	}
-	replay := make([]*routerShard, 0, len(n.Routers))
-	for i, r := range n.Routers {
-		if dirty != nil && !dirty[r.Name] {
-			metricShardsReused.Inc()
-			continue
-		}
+	shards := make([]*routerShard, len(n.Routers))
+	copy(shards, f.shards)
+	play := make([]*routerShard, len(jobs))
+	for k, j := range jobs {
 		var m *meter.Meter
-		if seed, ok := f.meterSeeds[r.Name]; ok {
+		if seed, ok := f.meterSeeds[j.router.Name]; ok {
 			m = meter.New(seed)
-			if err := m.Attach(0, r.Device); err != nil {
-				return err
+			if err := m.Attach(0, j.router.Device); err != nil {
+				return nil, err
 			}
 		}
-		sh := n.newShard(r, m, byRouter[r.Name], f.steps)
-		f.shards[i] = sh
-		replay = append(replay, sh)
+		play[k] = n.newShard(j.router, m, j.events, f.steps)
+		shards[j.idx] = play[k]
 	}
-	metricShardsReplayed.Add(uint64(len(replay)))
-	if err := playShards(replay, f.cfg.Workers); err != nil {
-		return err
+	metricShardsReused.Add(uint64(len(n.Routers) - len(jobs)))
+	metricShardsReplayed.Add(uint64(len(play)))
+	if err := playShards(play, f.cfg.Workers); err != nil {
+		return nil, err
 	}
-	f.ds = n.assembleDataset(f.steps, f.shards, evs, f.capacity)
-	return nil
+	return &stagedReplay{ds: n.assembleDataset(f.steps, shards, described, f.capacity), shards: shards}, nil
+}
+
+// commit installs a successful replay: the replayed routers and their
+// schedules, their retention, and the dataset.
+func (f *Fleet) commit(jobs []replayJob, st *stagedReplay) {
+	for _, j := range jobs {
+		f.net.Routers[j.idx] = j.router
+		f.net.byName[j.router.Name] = j.router
+		if len(j.sched) > 0 {
+			f.byRouter[j.router.Name] = j.sched
+		}
+	}
+	if f.chunked {
+		if f.chunks == nil {
+			f.chunks = make([]routerChunks, len(f.net.Routers))
+		}
+		delta := 0
+		for k, j := range jobs {
+			delta += st.chunks[k].retainedBytes() - f.chunks[j.idx].retainedBytes()
+			f.chunks[j.idx] = st.chunks[k]
+		}
+		metricFleetChunkBytes.Add(float64(delta))
+	} else {
+		f.shards = st.shards
+	}
+	f.ds = st.ds
+}
+
+func fleetEventAt(e FleetEvent) time.Time { return e.At }
+func eventTime(e Event) time.Time         { return e.Time }
+
+// mergeByTime returns a new slice holding sorted with batch merged in by
+// due time. Both inputs must be sorted; an element of batch lands after
+// every element of sorted due at or before it, so the result equals a
+// stable sort of sorted followed by batch — the order the cold path's
+// sortFleetEvents gives the concatenated schedule.
+func mergeByTime[T any](sorted, batch []T, at func(T) time.Time) []T {
+	out := make([]T, 0, len(sorted)+len(batch))
+	i := 0
+	for _, e := range batch {
+		t := at(e)
+		k := i + sort.Search(len(sorted)-i, func(k int) bool { return at(sorted[i+k]).After(t) })
+		out = append(out, sorted[i:k]...)
+		out = append(out, e)
+		i = k
+	}
+	return append(out, sorted[i:]...)
 }

@@ -102,59 +102,34 @@ func decodeChunkedInto(totals []float64, data []byte, scratch *timeseries.Series
 }
 
 // replayChunked is the chunk-retained form of Fleet.replay: play the
-// dirty routers (nil means all) through a bounded pipeline, fold their
-// fresh columns into the step totals in fleet order, re-encode their
-// retention, and splice every clean router in by decoding its retained
-// chunks — never holding more than the worker window of live shards.
-func (f *Fleet) replayChunked(dirty map[string]bool) error {
+// jobs through a bounded pipeline, fold their fresh columns into the step
+// totals in fleet order, encode their retention into fresh buffers, and
+// splice every other router in by decoding its retained chunks — never
+// holding more than the worker window of live shards. Like replay it
+// only stages: the retained chunks are not touched.
+func (f *Fleet) replayChunked(jobs []replayJob, described []Event) (*stagedReplay, error) {
 	n := f.net
-	evs := f.mergedEvents()
-	compiled, err := n.compileEvents(evs)
-	if err != nil {
-		return err
-	}
-	byRouter := partitionEvents(compiled)
-
-	if f.chunks == nil {
-		f.chunks = make([]routerChunks, len(n.Routers))
-	}
-	if f.stepNanos == nil {
-		f.stepNanos = make([]int64, len(f.steps))
-		for i, t := range f.steps {
-			f.stepNanos[i] = t.UnixNano()
-		}
-	}
-
-	ndirty := 0
-	for _, r := range n.Routers {
-		if dirty == nil || dirty[r.Name] {
-			ndirty++
-		}
-	}
 	workers := f.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > ndirty {
-		workers = ndirty
+	if workers > len(jobs) {
+		workers = len(jobs)
 	}
 	if workers < 1 {
 		workers = 1
 	}
 	window := workers + streamWindowSlack
 
-	// Bounded pipeline over the dirty routers, exactly as RunStream admits
-	// the whole fleet: slots preserves fleet order and its buffer is the
+	// Bounded pipeline over the jobs, exactly as RunStream admits the
+	// whole fleet: slots preserves fleet order and its buffer is the
 	// admission window.
 	pool := sync.Pool{New: func() any { return &streamBufs{} }}
 	slots := make(chan *streamSlot, window)
 	work := make(chan *streamSlot)
 	go func() {
-		for _, r := range n.Routers {
-			if dirty != nil && !dirty[r.Name] {
-				continue
-			}
-			sh := n.newShard(r, nil, byRouter[r.Name], f.steps)
+		for _, j := range jobs {
+			sh := n.newShard(j.router, nil, j.events, f.steps)
 			bufs := pool.Get().(*streamBufs)
 			sh.power = zeroedFloats(bufs.power, len(f.steps))
 			sh.traffic = zeroedFloats(bufs.traffic, len(f.steps))
@@ -179,23 +154,24 @@ func (f *Fleet) replayChunked(dirty map[string]bool) error {
 		}()
 	}
 
-	// The consumer walks the whole fleet in order: dirty routers are taken
-	// from the pipeline (which emits them in fleet order), clean routers
+	// The consumer walks the whole fleet in order: replayed routers are
+	// taken from the pipeline (which emits them in fleet order), the rest
 	// are decoded from their retention. Either way the totals accumulate
 	// router contributions in fleet order — the cold reduction's exact
 	// floating-point sequence.
 	totalPower := make([]float64, len(f.steps))
 	totalTraffic := make([]float64, len(f.steps))
 	scratch := timeseries.NewWithCap("chunk-splice", len(f.steps))
+	staged := make([]routerChunks, len(jobs))
 	var firstErr error
 	fail := func(err error) {
 		if firstErr == nil {
 			firstErr = err
 		}
 	}
-	retainedDelta := 0
-	for i, r := range n.Routers {
-		if dirty != nil && !dirty[r.Name] {
+	k := 0
+	for i := range n.Routers {
+		if k == len(jobs) || jobs[k].idx != i {
 			metricShardsReused.Inc()
 			metricFleetChunkSplices.Inc()
 			if firstErr == nil {
@@ -210,12 +186,12 @@ func (f *Fleet) replayChunked(dirty map[string]bool) error {
 		}
 		s, ok := <-slots
 		if !ok {
-			return fmt.Errorf("ispnet: chunk replay pipeline ended before router %q", r.Name)
+			return nil, fmt.Errorf("ispnet: chunk replay pipeline ended before router %q", jobs[k].router.Name)
 		}
 		<-s.done
 		sh := s.sh
-		if sh.router != r {
-			fail(fmt.Errorf("ispnet: chunk replay order: got %q, want %q", sh.router.Name, r.Name))
+		if sh.router != jobs[k].router {
+			fail(fmt.Errorf("ispnet: chunk replay order: got %q, want %q", sh.router.Name, jobs[k].router.Name))
 		}
 		if sh.err != nil {
 			fail(sh.err)
@@ -225,18 +201,14 @@ func (f *Fleet) replayChunked(dirty map[string]bool) error {
 				totalPower[si] += sh.power[si]
 				totalTraffic[si] += sh.traffic[si]
 			}
-			rc := &f.chunks[i]
-			retainedDelta -= rc.retainedBytes()
-			rc.power = appendChunked(rc.power[:0], f.stepNanos, sh.power)
-			rc.traffic = appendChunked(rc.traffic[:0], f.stepNanos, sh.traffic)
-			retainedDelta += rc.retainedBytes()
+			rc := &staged[k]
+			rc.power = appendChunked(nil, f.stepNanos, sh.power)
+			rc.traffic = appendChunked(nil, f.stepNanos, sh.traffic)
 			rc.hasWall = len(sh.wall) > 0
 			if rc.hasWall {
 				rc.wallMedian = medianOf(sh.wall)
 				// medianOf sorted in place; the peak is the last sample.
 				rc.wallPeak = sh.wall[len(sh.wall)-1]
-			} else {
-				rc.wallMedian, rc.wallPeak = 0, 0
 			}
 			rc.psus = sh.psus
 		}
@@ -244,12 +216,12 @@ func (f *Fleet) replayChunked(dirty map[string]bool) error {
 		s.bufs.power, s.bufs.traffic, s.bufs.wall = sh.power, sh.traffic, sh.wall
 		sh.power, sh.traffic, sh.wall = nil, nil, nil
 		pool.Put(s.bufs)
+		k++
 	}
 	wg.Wait()
-	metricShardsReplayed.Add(uint64(ndirty))
-	metricFleetChunkBytes.Add(float64(retainedDelta))
+	metricShardsReplayed.Add(uint64(len(jobs)))
 	if firstErr != nil {
-		return firstErr
+		return nil, firstErr
 	}
 
 	ds := &Dataset{
@@ -263,14 +235,21 @@ func (f *Fleet) replayChunked(dirty map[string]bool) error {
 		SNMPPower:        make(map[string]*timeseries.Series),
 		IfaceRates:       make(map[string]map[string]*timeseries.Series),
 		IfaceProfiles:    make(map[string]map[string]model.ProfileKey),
-		Events:           describeFleetEvents(evs),
+		Events:           described,
 	}
 	for si, t := range f.steps {
 		ds.TotalPower.Append(t, totalPower[si])
 		ds.TotalTraffic.Append(t, totalTraffic[si])
 	}
+	k = 0
 	for i, r := range n.Routers {
-		rc := &f.chunks[i]
+		var rc *routerChunks
+		if k < len(jobs) && jobs[k].idx == i {
+			rc = &staged[k]
+			k++
+		} else {
+			rc = &f.chunks[i]
+		}
 		if rc.hasWall {
 			ds.RouterWallMedian[r.Name] = units.Power(rc.wallMedian)
 			ds.RouterWallPeak[r.Name] = units.Power(rc.wallPeak)
@@ -283,6 +262,5 @@ func (f *Fleet) replayChunked(dirty map[string]bool) error {
 			})
 		}
 	}
-	f.ds = ds
-	return nil
+	return &stagedReplay{ds: ds, chunks: staged}, nil
 }

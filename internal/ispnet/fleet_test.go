@@ -2,6 +2,7 @@ package ispnet
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -239,4 +240,110 @@ func TestFleetPerturbValidates(t *testing.T) {
 			t.Fatalf("bad batch left %d routers dirty", f.DirtyRouters())
 		}
 	}
+}
+
+// TestFleetResimulateFailureRollsBack pins the transactional Resimulate
+// on the live-shard (107) and chunk-retained (1k) paths. A batch holding
+// a valid event on an early router and an event that validates but fails
+// at apply on a later one — so the early router's replay completes before
+// the failure — must leave the fleet exactly as the last successful
+// Resimulate left it, and a following valid batch must commit on top of
+// that state alone.
+func TestFleetResimulateFailureRollsBack(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"routers=107", quickCfg()},
+		{"routers=1k", hierFleetCfg(1000, 1, 24*time.Hour, time.Hour)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := NewFleet(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := f.Network()
+			start := n.Config.Start
+			lo, hi := n.Routers[1].Name, n.Routers[len(n.Routers)-2].Name
+			// Commit one perturbation first, so the state to preserve is
+			// more than the cold build.
+			if err := f.Perturb(FleetEvent{At: start.Add(2 * time.Hour), Router: lo, Op: OpScaleLoad, Factor: 1.5}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Resimulate(); err != nil {
+				t.Fatal(err)
+			}
+			prevDS, prevEvents, prevExtra := f.Dataset(), f.Events(), f.ExtraEvents()
+			prevRouters := append([]*Router(nil), n.Routers...)
+			prevRetention := retentionOf(f)
+
+			if err := f.Perturb(
+				FleetEvent{At: start.Add(time.Hour), Router: lo, Op: OpScaleLoad, Factor: 2},
+				FleetEvent{At: start.Add(time.Hour), Router: hi, Op: OpAdminDown, Iface: "eth9999"},
+			); err != nil {
+				t.Fatalf("the failing event must pass validation: %v", err)
+			}
+			if _, err := f.Resimulate(); err == nil {
+				t.Fatal("Resimulate applied an admin-down of a missing interface")
+			}
+
+			if f.Dataset() != prevDS {
+				t.Fatal("failed Resimulate replaced the dataset")
+			}
+			cold, err := SimulateWithEvents(tc.cfg, prevExtra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			datasetsIdentical(t, cold, f.Dataset())
+			if f.Network() != n || !reflect.DeepEqual(n.Routers, prevRouters) {
+				t.Fatal("failed Resimulate swapped routers in the network")
+			}
+			for _, r := range n.Routers {
+				if n.byName[r.Name] != r {
+					t.Fatalf("failed Resimulate left byName[%s] pointing at a staged router", r.Name)
+				}
+			}
+			if !reflect.DeepEqual(retentionOf(f), prevRetention) {
+				t.Fatal("failed Resimulate changed the retained replay results")
+			}
+			if !reflect.DeepEqual(f.Events(), prevEvents) || !reflect.DeepEqual(f.ExtraEvents(), prevExtra) {
+				t.Fatal("failed Resimulate left its batch in the schedule")
+			}
+			if f.DirtyRouters() != 0 {
+				t.Fatalf("failed Resimulate left %d routers dirty", f.DirtyRouters())
+			}
+
+			if err := f.Perturb(FleetEvent{At: start.Add(3 * time.Hour), Router: hi, Op: OpScaleLoad, Factor: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := f.Resimulate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(f.ExtraEvents()); got != len(prevExtra)+1 {
+				t.Fatalf("committed schedule has %d perturbations, want %d", got, len(prevExtra)+1)
+			}
+			cold, err = SimulateWithEvents(tc.cfg, f.ExtraEvents())
+			if err != nil {
+				t.Fatal(err)
+			}
+			datasetsIdentical(t, cold, ds)
+		})
+	}
+}
+
+// retentionOf snapshots what a fleet retains between Resimulates, deeply
+// enough that an in-place overwrite of a retained chunk shows.
+func retentionOf(f *Fleet) any {
+	if !f.chunked {
+		return append([]*routerShard(nil), f.shards...)
+	}
+	out := make([]routerChunks, len(f.chunks))
+	for i, rc := range f.chunks {
+		rc.power = append([]byte(nil), rc.power...)
+		rc.traffic = append([]byte(nil), rc.traffic...)
+		out[i] = rc
+	}
+	return out
 }

@@ -118,7 +118,7 @@ func buildHierarchy(cfg Config) (*Network, error) {
 				spec = s
 			}
 			name := fmt.Sprintf("%s-r%d", p.name, j)
-			dev, err := device.New(spec, name, cfg.Seed+int64(idx)*7919)
+			dev, err := device.New(spec, name, deviceSeed(cfg.Seed, idx))
 			if err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

@@ -335,7 +335,7 @@ func Build(cfg Config) (*Network, error) {
 		for i := 0; i < tpl.count; i++ {
 			pop := pops[idx%len(pops)]
 			name := fmt.Sprintf("%s-rtr%02d", pop, idx)
-			dev, err := device.New(spec, name, cfg.Seed+int64(idx)*7919)
+			dev, err := device.New(spec, name, deviceSeed(cfg.Seed, idx))
 			if err != nil {
 				return nil, fmt.Errorf("ispnet: %s: %w", name, err)
 			}
@@ -353,6 +353,11 @@ func Build(cfg Config) (*Network, error) {
 	n.markSpecialRouters()
 	return n, nil
 }
+
+// deviceSeed is the device rng seed of the router at fleet index idx. It
+// is part of the determinism contract: a Fleet rebuilds a dirty router
+// from its blueprint with the seed Build gave it.
+func deviceSeed(seed int64, idx int) int64 { return seed + int64(idx)*7919 }
 
 // deploy populates a router from its template.
 func deploy(r *Router, tpl deployTemplate, rng *rand.Rand) error {

@@ -16,7 +16,9 @@
 # with scheduler noise on a shared box, and the minimum is the standard
 # noise-robust estimate of a benchmark's true cost. Separate processes —
 # not -count — so suite-cached benchmarks keep their cold-first-run
-# semantics and the numbers stay comparable across recordings.
+# semantics and the numbers stay comparable across recordings. Each
+# entry also records its time/op spread over the runs (spread_pct), and
+# an "_env" entry records the core count (nproc) and the run count.
 #
 # When a prior BENCH_<n>.json exists, a benchstat-style delta table
 # (time/op, B/op, allocs/op with percent change per benchmark) is printed
@@ -56,7 +58,12 @@ while [ "$r" -lt "$runs" ]; do
     r=$((r + 1))
 done
 
-awk '
+# The host's core count and the run count go into the recording's
+# "_env" entry: parallel speedups and run-to-run spread only mean
+# something next to them.
+cores="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
+
+awk -v cores="$cores" -v runs="$runs" '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -71,11 +78,12 @@ awk '
     if (!(name in seen)) {
         seen[name] = 1
         names[n_names++] = name
-        min_ns[name] = ns; min_by[name] = bytes; min_al[name] = allocs
+        min_ns[name] = ns; max_ns[name] = ns; min_by[name] = bytes; min_al[name] = allocs
         max_jps[name] = jps
         next
     }
     if (ns + 0 < min_ns[name] + 0) min_ns[name] = ns
+    if (ns + 0 > max_ns[name] + 0) max_ns[name] = ns
     if (bytes != "" && (min_by[name] == "" || bytes + 0 < min_by[name] + 0)) min_by[name] = bytes
     if (allocs != "" && (min_al[name] == "" || allocs + 0 < min_al[name] + 0)) min_al[name] = allocs
     # joules/s is a throughput: keep the best (max) run, the noise-robust
@@ -84,9 +92,12 @@ awk '
 }
 END {
     print "{"
+    printf "  \"_env\": {\"nproc\": %d, \"runs\": %d}%s\n", cores, runs, (n_names > 0 ? "," : "")
     for (i = 0; i < n_names; i++) {
         name = names[i]
         entry = sprintf("  %c%s%c: {\"ns_per_op\": %s", 34, name, 34, min_ns[name])
+        # Run-to-run spread of time/op: (max - min) / min over the runs.
+        if (min_ns[name] + 0 > 0) entry = entry sprintf(", \"spread_pct\": %.1f", (max_ns[name] - min_ns[name]) / min_ns[name] * 100)
         if (min_by[name] != "") entry = entry sprintf(", \"bytes_per_op\": %s", min_by[name])
         if (min_al[name] != "") entry = entry sprintf(", \"allocs_per_op\": %s", min_al[name])
         if (max_jps[name] != "") entry = entry sprintf(", \"joules_per_wallclock_s\": %s", max_jps[name])
