@@ -479,15 +479,21 @@ func (r *Router) rebuildStaticLocked() {
 	r.staticOK = true
 }
 
+// ensureStaticLocked rebuilds the static-power cache if a config event
+// dropped it. Callers must hold r.mu.
+func (r *Router) ensureStaticLocked() {
+	if !r.staticOK {
+		//jouleslint:ignore hotpath -- static-term cache rebuild: runs only after a config event invalidates it, amortized across steps
+		r.rebuildStaticLocked()
+	}
+}
+
 // dcLoadLocked computes the true DC-side power demand from the hidden spec:
 // the cached static configuration terms plus the per-step dynamic part
 // (fan power follows the chassis temperature, load terms follow the
 // offered traffic). Callers must hold r.mu.
 func (r *Router) dcLoadLocked() units.Power {
-	if !r.staticOK {
-		//jouleslint:ignore hotpath -- static-term cache rebuild: runs only after a config event invalidates it, amortized across steps
-		r.rebuildStaticLocked()
-	}
+	r.ensureStaticLocked()
 	s := &r.spec
 	p := r.staticDC
 	p += s.FanBasePower + units.Power(s.FanTempCoeff*(r.internalTemp-25))
@@ -565,10 +571,11 @@ func (r *Router) advanceLocked(dt time.Duration) time.Time {
 		alpha := 1 - math.Exp(-sec/tau)
 		r.internalTemp += (target - r.internalTemp) * alpha
 	}
-	for _, itf := range r.interfaces {
-		if !itf.OperUp() {
-			continue
-		}
+	// Only operationally-up interfaces count traffic, and trafficIfs is
+	// exactly that list, in port order: PlugTransceiver admits only
+	// profiles the spec knows, so every oper-up port has its truth.
+	r.ensureStaticLocked()
+	for _, itf := range r.trafficIfs {
 		// Offered rates are bidirectional sums; split evenly for counters.
 		octets := itf.bits.BitsPerSecond() / 8 * sec / 2
 		pkts := itf.packets.PacketsPerSecond() * sec / 2

@@ -86,3 +86,69 @@ func BenchmarkSimulateStream(b *testing.B) {
 		})
 	})
 }
+
+// suiteCfg is the calibrated fleet at the experiment suite's working
+// resolution: the 9-week window at 15-minute polls, played serially.
+func suiteCfg() Config {
+	return Config{
+		Seed:          42,
+		SNMPStep:      15 * time.Minute,
+		AutopowerStep: 5 * time.Minute,
+		Workers:       1,
+	}
+}
+
+// coldShards builds the network and wires every router's shard for a
+// cold run, ready to play.
+func coldShards(tb testing.TB, cfg Config) (*Network, *coldRun, []*routerShard) {
+	tb.Helper()
+	n, err := Build(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	run, err := n.prepareRun(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	shards := make([]*routerShard, len(n.Routers))
+	for i, r := range n.Routers {
+		shards[i] = run.shard(r)
+	}
+	return n, run, shards
+}
+
+// BenchmarkShardPlay times the per-router play loop alone — every shard
+// of the calibrated fleet at the suite resolution, serially — with Build,
+// meter attachment and event compilation outside the timer, and reports
+// the cost per router-step (one router advanced by one SNMP step).
+func BenchmarkShardPlay(b *testing.B) {
+	b.ReportAllocs()
+	routerSteps := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		_, run, shards := coldShards(b, suiteCfg())
+		b.StartTimer()
+		if err := playShards(shards, 1, nil); err != nil {
+			b.Fatal(err)
+		}
+		routerSteps += len(shards) * len(run.grid.times)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(routerSteps), "ns/router-step")
+}
+
+// BenchmarkFold times the dataset assembly alone: the fleet-order fold of
+// 107 played shards at the suite resolution into the network totals,
+// plus the per-router wall stats and traces. The shards play once,
+// outside the timer; assembly reads them without mutating them.
+func BenchmarkFold(b *testing.B) {
+	n, run, shards := coldShards(b, suiteCfg())
+	if err := playShards(shards, 1, nil); err != nil {
+		b.Fatal(err)
+	}
+	events := describeFleetEvents(run.evs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.assembleDataset(run.grid, shards, events, run.capacity)
+	}
+}

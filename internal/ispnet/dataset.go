@@ -109,55 +109,68 @@ func (n *Network) Run() (*Dataset, error) {
 // different deployment.
 func (n *Network) RunWithEvents(extra []FleetEvent) (*Dataset, error) {
 	metricRuns.Inc()
-	steps := n.stepGrid()
-	// Capacity is a deployment property of the pristine build: scheduled
-	// events change what is up, not what was provisioned.
-	capacity := n.totalCapacity()
+	run, err := n.prepareRun(extra)
+	if err != nil {
+		return nil, err
+	}
+	// Shard the fleet: one worker plays one router's full timeline.
+	shards := make([]*routerShard, len(n.Routers))
+	for i, r := range n.Routers {
+		shards[i] = run.shard(r)
+	}
+	if err := playShards(shards, n.Config.Workers, nil); err != nil {
+		return nil, err
+	}
+	return n.assembleDataset(run.grid, shards, describeFleetEvents(run.evs), run.capacity), nil
+}
 
-	// One external meter per instrumented router. Seeds depend only on
-	// the instrumentation order, never on worker scheduling.
-	meters := make(map[string]*meter.Meter)
+// coldRun is what a replay of a freshly built network needs before any
+// shard plays; Run and RunStream share it.
+type coldRun struct {
+	n    *Network
+	grid *stepGrid
+	// capacity is a deployment property of the pristine build: scheduled
+	// events change what is up, not what was provisioned.
+	capacity units.BitRate
+	// meters holds one external meter per instrumented router, by name.
+	meters map[string]*meter.Meter
+	// evs is the sorted schedule (built-in plus extra); byRouter is it
+	// compiled and split per router.
+	evs      []FleetEvent
+	byRouter map[string][]scheduledEvent
+}
+
+// prepareRun builds the step grid, attaches the meters and compiles the
+// schedule for a cold replay.
+func (n *Network) prepareRun(extra []FleetEvent) (*coldRun, error) {
+	run := &coldRun{
+		n:        n,
+		grid:     n.stepGrid(),
+		capacity: n.totalCapacity(),
+		meters:   make(map[string]*meter.Meter),
+	}
+	// Meter seeds depend only on the instrumentation order, never on
+	// worker scheduling.
 	for i, r := range n.AutopowerRouters() {
 		m := meter.New(n.meterSeed(i))
 		if err := m.Attach(0, r.Device); err != nil {
 			return nil, err
 		}
-		meters[r.Name] = m
+		run.meters[r.Name] = m
 	}
-
-	evs := append(n.baseEvents(), extra...)
-	sortFleetEvents(evs)
-	compiled, err := n.compileEvents(evs)
+	run.evs = append(n.baseEvents(), extra...)
+	sortFleetEvents(run.evs)
+	compiled, err := n.compileEvents(run.evs)
 	if err != nil {
 		return nil, err
 	}
-
-	// Shard the fleet: one worker plays one router's full timeline.
-	byRouter := partitionEvents(compiled)
-	shards := make([]*routerShard, len(n.Routers))
-	for i, r := range n.Routers {
-		shards[i] = n.newShard(r, meters[r.Name], byRouter[r.Name], steps)
-	}
-	if err := playShards(shards, n.Config.Workers); err != nil {
-		return nil, err
-	}
-	return n.assembleDataset(steps, shards, describeFleetEvents(evs), capacity), nil
+	run.byRouter = partitionEvents(compiled)
+	return run, nil
 }
 
-// stepGrid returns the shared SNMP-cadence step grid; every shard walks
-// the same timestamps.
-func (n *Network) stepGrid() []time.Time {
-	cfg := n.Config
-	numSteps := 0
-	if cfg.SNMPStep > 0 {
-		numSteps = int(cfg.Duration/cfg.SNMPStep) + 1
-	}
-	steps := make([]time.Time, 0, numSteps)
-	end := cfg.Start.Add(cfg.Duration)
-	for t := cfg.Start; t.Before(end); t = t.Add(cfg.SNMPStep) {
-		steps = append(steps, t)
-	}
-	return steps
+// shard wires router r's replay unit for the run.
+func (run *coldRun) shard(r *Router) *routerShard {
+	return run.n.newShard(r, run.meters[r.Name], run.byRouter[r.Name], run.grid)
 }
 
 // totalCapacity sums the provisioned (non-spare) interface capacity, each
@@ -184,25 +197,63 @@ func (n *Network) meterSeed(i int) int64 {
 }
 
 // newShard wires one router's replay unit.
-func (n *Network) newShard(r *Router, m *meter.Meter, evs []scheduledEvent, steps []time.Time) *routerShard {
+func (n *Network) newShard(r *Router, m *meter.Meter, evs []scheduledEvent, grid *stepGrid) *routerShard {
 	return &routerShard{
 		net:    n,
 		router: r,
 		meter:  m,
 		events: evs,
-		steps:  steps,
+		grid:   grid,
 		snapAt: n.Config.Start.Add(n.Config.Duration / 2),
 	}
 }
 
+// foldBlock is how many steps assembleDataset sums per pass over the
+// shards: two blocks of totals fit in a few KB of stack, so the fold
+// allocates nothing beyond the output series.
+const foldBlock = 512
+
 // assembleDataset reduces played shards into the network-wide dataset in
 // fixed fleet order, so the result is bit-identical for every worker
 // count — and for any replayed/reused shard mix in the incremental path.
-func (n *Network) assembleDataset(steps []time.Time, shards []*routerShard, events []Event, capacity units.BitRate) *Dataset {
-	ds := &Dataset{
+//
+// The totals fold shard-major, one block of steps at a time, and append
+// each finished block to the output series. Every step's sum still starts
+// at 0 and adds the shards in fleet order (a router contributes exactly 0
+// while undeployed), so the floating-point result is the same as a
+// step-major loop's — and the same as the stream and chunk folds'.
+func (n *Network) assembleDataset(g *stepGrid, shards []*routerShard, events []Event, capacity units.BitRate) *Dataset {
+	ds := newDataset(n, len(g.nanos), capacity, events)
+	var power, traffic [foldBlock]float64
+	for lo := 0; lo < len(g.nanos); lo += foldBlock {
+		hi := min(lo+foldBlock, len(g.nanos))
+		p, tr := power[:hi-lo], traffic[:hi-lo]
+		clear(p)
+		clear(tr)
+		for _, sh := range shards {
+			for i, v := range sh.power[lo:hi] {
+				p[i] += v
+			}
+			for i, v := range sh.traffic[lo:hi] {
+				tr[i] += v
+			}
+		}
+		ds.TotalPower.AppendBlock(g.nanos[lo:hi], p)
+		ds.TotalTraffic.AppendBlock(g.nanos[lo:hi], tr)
+	}
+	for _, sh := range shards {
+		ds.addShard(sh)
+	}
+	return ds
+}
+
+// newDataset returns an empty dataset with its total series sized for
+// steps points — the starting point of every fold.
+func newDataset(n *Network, steps int, capacity units.BitRate, events []Event) *Dataset {
+	return &Dataset{
 		Network:          n,
-		TotalPower:       timeseries.NewWithCap("total-power", len(steps)),
-		TotalTraffic:     timeseries.NewWithCap("total-traffic", len(steps)),
+		TotalPower:       timeseries.NewWithCap("total-power", steps),
+		TotalTraffic:     timeseries.NewWithCap("total-traffic", steps),
 		TotalCapacity:    capacity,
 		RouterWallMedian: make(map[string]units.Power),
 		RouterWallPeak:   make(map[string]units.Power),
@@ -212,48 +263,41 @@ func (n *Network) assembleDataset(steps []time.Time, shards []*routerShard, even
 		IfaceProfiles:    make(map[string]map[string]model.ProfileKey),
 		Events:           events,
 	}
+}
 
-	// Deterministic reduction: totals sum the shards in fleet order at
-	// every step (a router contributes exactly 0 while undeployed, which
-	// does not perturb the floating-point sum).
-	for si, t := range steps {
-		var totalPower, totalTraffic float64
-		for _, sh := range shards {
-			totalPower += sh.power[si]
-			totalTraffic += sh.traffic[si]
-		}
-		ds.TotalPower.Append(t, totalPower)
-		ds.TotalTraffic.Append(t, totalTraffic)
-	}
-	for _, sh := range shards {
-		r := sh.router
-		if len(sh.wall) > 0 {
-			ds.RouterWallMedian[r.Name] = units.Power(medianOf(sh.wall))
-			// medianOf sorted the samples in place; the peak is the last.
-			ds.RouterWallPeak[r.Name] = units.Power(sh.wall[len(sh.wall)-1])
-		}
-		if sh.meter != nil {
-			ds.Autopower[r.Name] = sh.autopower
-			ds.IfaceRates[r.Name] = sh.rates
-			ds.IfaceProfiles[r.Name] = sh.profiles
-			if sh.snmp != nil {
-				ds.SNMPPower[r.Name] = sh.snmp
-			}
-		}
-		// One-time PSU sensor export, mid-window (§9.2: a snapshot, not
-		// a trace — the SNMP data only carries Pin). Captured by the
-		// shard at the end of its replay so the per-router rng stream is
-		// advanced identically whether the shard was replayed cold or
-		// spliced back from a retained fleet.
-		if sh.psus != nil {
-			ds.PSUSnapshots = append(ds.PSUSnapshots, psu.RouterPSUs{
-				Router: r.Name,
-				Model:  r.Device.Model(),
-				PSUs:   sh.psus,
-			})
+// addShard records a played shard's per-router results: its
+// instrumented traces, then what addRouter records.
+func (ds *Dataset) addShard(sh *routerShard) {
+	r := sh.router
+	if sh.meter != nil {
+		ds.Autopower[r.Name] = sh.autopower
+		ds.IfaceRates[r.Name] = sh.rates
+		ds.IfaceProfiles[r.Name] = sh.profiles
+		if sh.snmp != nil {
+			ds.SNMPPower[r.Name] = sh.snmp
 		}
 	}
-	return ds
+	ds.addRouter(r, sh.stats, sh.psus)
+}
+
+// addRouter records a router's wall stats and its one-time PSU sensor
+// export (§9.2: a snapshot, not a trace — the SNMP data only carries
+// Pin). The shard captures the snapshot at the end of its replay, so the
+// per-router rng stream is advanced identically whether the shard was
+// replayed cold or spliced back from a retained fleet. Callers add
+// routers in fleet order, which orders PSUSnapshots.
+func (ds *Dataset) addRouter(r *Router, w wallStats, psus []psu.Snapshot) {
+	if w.ok {
+		ds.RouterWallMedian[r.Name] = units.Power(w.median)
+		ds.RouterWallPeak[r.Name] = units.Power(w.peak)
+	}
+	if psus != nil {
+		ds.PSUSnapshots = append(ds.PSUSnapshots, psu.RouterPSUs{
+			Router: r.Name,
+			Model:  r.Device.Model(),
+			PSUs:   psus,
+		})
+	}
 }
 
 // scheduledEvent is an event with its mutation.

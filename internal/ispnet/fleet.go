@@ -279,11 +279,10 @@ type Fleet struct {
 	cfg Config
 	net *Network
 
-	steps []time.Time
-	// stepNanos is steps in unix nanoseconds: the timestamp column of
-	// every retained chunk.
-	stepNanos []int64
-	capacity  units.BitRate
+	// grid is the window's step grid, built once: every replay reads its
+	// multipliers, and its nanosecond column keys every retained chunk.
+	grid     *stepGrid
+	capacity units.BitRate
 	// index maps router name → fleet index, the slot of its retention and
 	// the key of its device seed.
 	index map[string]int
@@ -316,6 +315,9 @@ type Fleet struct {
 	shards  []*routerShard
 	chunked bool
 	chunks  []routerChunks
+	// wall is the serial replay's wall-sample scratch, lent to each
+	// replayed shard in turn (see playShards).
+	wall []float64
 
 	ds *Dataset
 }
@@ -413,17 +415,13 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:        n.Config, // defaults applied by Build
 		net:        n,
-		steps:      n.stepGrid(),
+		grid:       n.stepGrid(),
 		capacity:   n.totalCapacity(),
 		index:      make(map[string]int, len(n.Routers)),
 		meterSeeds: make(map[string]int64),
 		blueprints: make(map[int]*routerBlueprint),
 		base:       n.baseEvents(),
 		byRouter:   make(map[string][]FleetEvent),
-	}
-	f.stepNanos = make([]int64, len(f.steps))
-	for i, t := range f.steps {
-		f.stepNanos[i] = t.UnixNano()
 	}
 	for i, r := range n.Routers {
 		f.index[r.Name] = i
@@ -601,15 +599,15 @@ func (f *Fleet) replay(jobs []replayJob, described []Event) (*stagedReplay, erro
 				return nil, err
 			}
 		}
-		play[k] = n.newShard(j.router, m, j.events, f.steps)
+		play[k] = n.newShard(j.router, m, j.events, f.grid)
 		shards[j.idx] = play[k]
 	}
 	metricShardsReused.Add(uint64(len(n.Routers) - len(jobs)))
 	metricShardsReplayed.Add(uint64(len(play)))
-	if err := playShards(play, f.cfg.Workers); err != nil {
+	if err := playShards(play, f.cfg.Workers, &f.wall); err != nil {
 		return nil, err
 	}
-	return &stagedReplay{ds: n.assembleDataset(f.steps, shards, described, f.capacity), shards: shards}, nil
+	return &stagedReplay{ds: n.assembleDataset(f.grid, shards, described, f.capacity), shards: shards}, nil
 }
 
 // commit installs a successful replay: the replayed routers and their

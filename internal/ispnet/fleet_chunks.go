@@ -5,11 +5,9 @@ import (
 	"runtime"
 	"sync"
 
-	"fantasticjoules/internal/model"
 	"fantasticjoules/internal/psu"
 	"fantasticjoules/internal/telemetry"
 	"fantasticjoules/internal/timeseries"
-	"fantasticjoules/internal/units"
 )
 
 // Chunk-retained fleet mode: the bounded-memory form of the incremental
@@ -46,17 +44,12 @@ var (
 )
 
 // routerChunks is one router's retained replay result in chunk mode: the
-// encoded step columns plus the scalars assembleDataset derives from a
-// live shard.
+// encoded step columns plus the per-router results a live shard carries.
 type routerChunks struct {
-	power   []byte // AppendChunk-encoded (stepNanos, power) column
-	traffic []byte // AppendChunk-encoded (stepNanos, traffic) column
-	// wallMedian / wallPeak are the router's median and peak wall power
-	// over its deployed steps, in watts; hasWall distinguishes "never
-	// deployed" from zero.
-	wallMedian float64
-	wallPeak   float64
-	hasWall    bool
+	power   []byte // AppendChunk-encoded (grid nanos, power) column
+	traffic []byte // AppendChunk-encoded (grid nanos, traffic) column
+	// wall is the router's wall stats, as its shard reduced them.
+	wall wallStats
 	// psus is the mid-window environment-sensor export (nil when the
 	// router was not active at snapAt).
 	psus []psu.Snapshot
@@ -129,10 +122,10 @@ func (f *Fleet) replayChunked(jobs []replayJob, described []Event) (*stagedRepla
 	work := make(chan *streamSlot)
 	go func() {
 		for _, j := range jobs {
-			sh := n.newShard(j.router, nil, j.events, f.steps)
+			sh := n.newShard(j.router, nil, j.events, f.grid)
 			bufs := pool.Get().(*streamBufs)
-			sh.power = zeroedFloats(bufs.power, len(f.steps))
-			sh.traffic = zeroedFloats(bufs.traffic, len(f.steps))
+			sh.power = zeroedFloats(bufs.power, len(f.grid.nanos))
+			sh.traffic = zeroedFloats(bufs.traffic, len(f.grid.nanos))
 			sh.wall = bufs.wall[:0]
 			//jouleslint:ignore scratchsafety -- bounded handoff: the fold is the slot's only consumer and puts the buffers back before admitting another slot past the window
 			s := &streamSlot{sh: sh, bufs: bufs, done: make(chan struct{})}
@@ -159,9 +152,10 @@ func (f *Fleet) replayChunked(jobs []replayJob, described []Event) (*stagedRepla
 	// are decoded from their retention. Either way the totals accumulate
 	// router contributions in fleet order — the cold reduction's exact
 	// floating-point sequence.
-	totalPower := make([]float64, len(f.steps))
-	totalTraffic := make([]float64, len(f.steps))
-	scratch := timeseries.NewWithCap("chunk-splice", len(f.steps))
+	steps := len(f.grid.nanos)
+	totalPower := make([]float64, steps)
+	totalTraffic := make([]float64, steps)
+	scratch := timeseries.NewWithCap("chunk-splice", steps)
 	staged := make([]routerChunks, len(jobs))
 	var firstErr error
 	fail := func(err error) {
@@ -197,19 +191,14 @@ func (f *Fleet) replayChunked(jobs []replayJob, described []Event) (*stagedRepla
 			fail(sh.err)
 		}
 		if firstErr == nil {
-			for si := range f.steps {
+			for si := range totalPower {
 				totalPower[si] += sh.power[si]
 				totalTraffic[si] += sh.traffic[si]
 			}
 			rc := &staged[k]
-			rc.power = appendChunked(nil, f.stepNanos, sh.power)
-			rc.traffic = appendChunked(nil, f.stepNanos, sh.traffic)
-			rc.hasWall = len(sh.wall) > 0
-			if rc.hasWall {
-				rc.wallMedian = medianOf(sh.wall)
-				// medianOf sorted in place; the peak is the last sample.
-				rc.wallPeak = sh.wall[len(sh.wall)-1]
-			}
+			rc.power = appendChunked(nil, f.grid.nanos, sh.power)
+			rc.traffic = appendChunked(nil, f.grid.nanos, sh.traffic)
+			rc.wall = sh.stats
 			rc.psus = sh.psus
 		}
 		// Recycle the step buffers (wall may have grown under append).
@@ -224,23 +213,9 @@ func (f *Fleet) replayChunked(jobs []replayJob, described []Event) (*stagedRepla
 		return nil, firstErr
 	}
 
-	ds := &Dataset{
-		Network:          n,
-		TotalPower:       timeseries.NewWithCap("total-power", len(f.steps)),
-		TotalTraffic:     timeseries.NewWithCap("total-traffic", len(f.steps)),
-		TotalCapacity:    f.capacity,
-		RouterWallMedian: make(map[string]units.Power),
-		RouterWallPeak:   make(map[string]units.Power),
-		Autopower:        make(map[string]*timeseries.Series),
-		SNMPPower:        make(map[string]*timeseries.Series),
-		IfaceRates:       make(map[string]map[string]*timeseries.Series),
-		IfaceProfiles:    make(map[string]map[string]model.ProfileKey),
-		Events:           described,
-	}
-	for si, t := range f.steps {
-		ds.TotalPower.Append(t, totalPower[si])
-		ds.TotalTraffic.Append(t, totalTraffic[si])
-	}
+	ds := newDataset(n, steps, f.capacity, described)
+	ds.TotalPower.AppendBlock(f.grid.nanos, totalPower)
+	ds.TotalTraffic.AppendBlock(f.grid.nanos, totalTraffic)
 	k = 0
 	for i, r := range n.Routers {
 		var rc *routerChunks
@@ -250,17 +225,7 @@ func (f *Fleet) replayChunked(jobs []replayJob, described []Event) (*stagedRepla
 		} else {
 			rc = &f.chunks[i]
 		}
-		if rc.hasWall {
-			ds.RouterWallMedian[r.Name] = units.Power(rc.wallMedian)
-			ds.RouterWallPeak[r.Name] = units.Power(rc.wallPeak)
-		}
-		if rc.psus != nil {
-			ds.PSUSnapshots = append(ds.PSUSnapshots, psu.RouterPSUs{
-				Router: r.Name,
-				Model:  r.Device.Model(),
-				PSUs:   rc.psus,
-			})
-		}
+		ds.addRouter(r, rc.wall, rc.psus)
 	}
 	return &stagedReplay{ds: ds, chunks: staged}, nil
 }

@@ -541,71 +541,83 @@ func (n *Network) markSpecialRouters() {
 // modulated by the diurnal pattern plus deterministic per-interface
 // noise. On the calibrated fleet the mean is the hand-set MeanLoad under
 // the network-wide diurnal shape; on hierarchical fleets it is the
-// subscriber-cohort aggregate under per-cohort shapes.
+// subscriber-cohort aggregate under per-cohort shapes. The replay
+// evaluates the same load models from its precomputed step grid and
+// per-interface noise prefixes; LoadAt is the from-scratch form.
 //
 //joules:hotpath
 func (n *Network) LoadAt(itf *Interface, r *Router, t time.Time) units.BitRate {
-	var cm [trafficgen.NumCohorts]float64
 	if n.hier {
+		var cm [trafficgen.NumCohorts]float64
 		trafficgen.CohortMultipliers(t, &cm)
+		return hierLoad(itf, &cm, t.Unix())
 	}
-	return n.loadAt(itf, r, t, n.diurnal.Multiplier(t, nil), &cm)
+	return calibratedLoad(itf, n.diurnal.Multiplier(t, nil), hash64(r.Name, itf.Name, t.Unix()))
 }
 
-// loadAt is LoadAt with the time-dependent multipliers hoisted: the
-// network-wide diurnal multiplier and the cohort multiplier vector depend
-// only on t, so the replay computes them once per step instead of once
-// per interface (they are a handful of trigonometric evaluations). The
-// per-interface work is O(1) and allocation-free on both paths.
-func (n *Network) loadAt(itf *Interface, r *Router, t time.Time, mult float64, cm *[trafficgen.NumCohorts]float64) units.BitRate {
-	if n.hier {
-		if itf.Spare {
-			return 0
-		}
-		// Closed-form cohort aggregation: a NumCohorts-term dot product,
-		// never a per-subscriber loop.
-		d := itf.SubDemand[0]*cm[0] + itf.SubDemand[1]*cm[1] + itf.SubDemand[2]*cm[2]
-		if d == 0 {
-			return 0
-		}
-		h := mixKey(itf.noiseKey, t.Unix())
-		load := units.BitRate(d * (1 + 0.15*(float64(h%2000)/1000-1)))
-		if load < 0 {
-			load = 0
-		}
-		if max := itf.Profile.Speed * 2; load > max {
-			load = max
-		}
-		return load
-	}
+// calibratedLoad is the calibrated fleet's load model: the interface's
+// MeanLoad under the diurnal multiplier mult, with h the
+// per-(interface, step) noise hash (hash64, or noiseAt of the
+// interface's noise prefix).
+//
+//joules:hotpath
+func calibratedLoad(itf *Interface, mult float64, h uint64) units.BitRate {
 	if itf.Spare || itf.MeanLoad == 0 {
 		return 0
 	}
-	// Deterministic per-(interface, step) noise so repeated queries agree.
-	h := hash64(r.Name, itf.Name, t.Unix())
-	noise := 1 + 0.15*(float64(h%2000)/1000-1)
-	load := units.BitRate(itf.MeanLoad.BitsPerSecond() * mult * noise)
+	return noisyLoad(itf.MeanLoad.BitsPerSecond()*mult, h, itf.Profile.Speed)
+}
+
+// hierLoad is the hierarchical fleet's load model: a closed-form cohort
+// aggregation — a NumCohorts-term dot product of the interface's
+// per-cohort demand with the step's cohort multipliers cm, never a
+// per-subscriber loop — with noise keyed on the interface's structural
+// noise key.
+//
+//joules:hotpath
+func hierLoad(itf *Interface, cm *[trafficgen.NumCohorts]float64, unix int64) units.BitRate {
+	if itf.Spare {
+		return 0
+	}
+	d := itf.SubDemand[0]*cm[0] + itf.SubDemand[1]*cm[1] + itf.SubDemand[2]*cm[2]
+	if d == 0 {
+		return 0
+	}
+	return noisyLoad(d, mixKey(itf.noiseKey, unix), itf.Profile.Speed)
+}
+
+// noisyLoad applies the ±15 % noise drawn from hash h to a mean load and
+// clamps the result to [0, 2×speed].
+//
+//joules:hotpath
+func noisyLoad(mean float64, h uint64, speed units.BitRate) units.BitRate {
+	load := units.BitRate(mean * (1 + 0.15*(float64(h%2000)/1000-1)))
 	if load < 0 {
 		load = 0
 	}
-	if max := itf.Profile.Speed * 2; load > max {
+	if max := speed * 2; load > max {
 		load = max
 	}
 	return load
 }
 
+// imixMeanSize is the IMIX mean packet size, computed once.
+var imixMeanSize = trafficgen.IMIXMeanSize()
+
 // PacketRateAt derives the packet rate for a load using the IMIX mean
 // packet size.
 func PacketRateAt(load units.BitRate) units.PacketRate {
-	return units.PacketRateFor(load, trafficgen.IMIXMeanSize(), trafficgen.EthernetOverhead)
+	return units.PacketRateFor(load, imixMeanSize, trafficgen.EthernetOverhead)
 }
 
 // hash64 is a small FNV-style mix for deterministic noise. The signature
-// is concrete — it runs once per interface per step, and a variadic
-// interface{} version boxes every argument onto the heap. The byte
-// sequence matches the original variadic implementation exactly, so the
-// noise values (and with them every published dataset figure) are
-// unchanged.
+// is concrete — LoadAt runs it once per interface per query, and a
+// variadic interface{} version boxes every argument onto the heap. The
+// byte sequence matches the original variadic implementation exactly, so
+// the noise values (and with them every published dataset figure) are
+// unchanged. The replay computes the same hash split in two
+// (noisePrefix, noiseAt); hash64 is the reference the split is tested
+// against.
 //
 // Audit note (scale): hash64 keys the noise on interface *names*, which
 // is fine for the calibrated 107-router fleet the published figures pin,
@@ -636,6 +648,45 @@ func hash64(router, iface string, unix int64) uint64 {
 	}
 	h ^= 0xff
 	h *= prime
+	return h
+}
+
+// fnvPrime is hash64's multiplier (the 64-bit FNV prime).
+const fnvPrime = 1099511628211
+
+// noisePrefix is hash64's state after the router and interface names and
+// their 0xff terminators: everything of the hash that does not depend on
+// the step. The calibrated replay computes it once per interface per
+// plan and folds in only the step's unix seconds (noiseAt), so
+// noiseAt(noisePrefix(r, i), u) == hash64(r, i, u) for every input.
+func noisePrefix(router, iface string) uint64 {
+	var h uint64 = 1469598103934665603
+	for i := 0; i < len(router); i++ {
+		h ^= uint64(router[i])
+		h *= fnvPrime
+	}
+	h ^= 0xff
+	h *= fnvPrime
+	for i := 0; i < len(iface); i++ {
+		h ^= uint64(iface[i])
+		h *= fnvPrime
+	}
+	h ^= 0xff
+	h *= fnvPrime
+	return h
+}
+
+// noiseAt completes a noisePrefix with the step's unix seconds.
+//
+//joules:hotpath
+func noiseAt(prefix uint64, unix int64) uint64 {
+	h := prefix
+	for i := 0; i < 8; i++ {
+		h ^= uint64(byte(unix >> (8 * i)))
+		h *= fnvPrime
+	}
+	h ^= 0xff
+	h *= fnvPrime
 	return h
 }
 

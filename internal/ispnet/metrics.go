@@ -44,7 +44,7 @@ func (sh *routerShard) playInstrumented() error {
 	err := sh.play()
 	metricRouters.Inc()
 	metricEvents.Add(uint64(sh.eventsApplied))
-	metricSteps.Add(uint64(len(sh.steps)))
+	metricSteps.Add(uint64(len(sh.grid.times)))
 	metricWallSamples.Add(uint64(len(sh.wall)))
 	if sh.autopower != nil {
 		metricMeterSamples.Add(uint64(sh.autopower.Len()))

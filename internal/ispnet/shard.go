@@ -3,7 +3,6 @@ package ispnet
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -31,7 +30,8 @@ type routerShard struct {
 	router *Router
 	meter  *meter.Meter // nil unless instrumented
 	events []scheduledEvent
-	steps  []time.Time
+	// grid is the window's shared, read-only step grid.
+	grid *stepGrid
 	// snapAt is the mid-window instant of the one-time PSU sensor export.
 	// The snapshot is taken by the shard itself (not by the dataset
 	// assembly) because EnvSnapshot draws from the router's private rng:
@@ -40,14 +40,17 @@ type routerShard struct {
 	// shard ran in a cold Simulate or an incremental Fleet replay.
 	snapAt time.Time
 
-	// Per-step contributions to the network totals, indexed like steps.
-	// Steps where the router is not deployed contribute exactly 0, which
-	// keeps the merged floating-point sums independent of deployment gaps.
+	// Per-step contributions to the network totals, indexed like the
+	// grid. Steps where the router is not deployed contribute exactly 0,
+	// which keeps the merged floating-point sums independent of
+	// deployment gaps.
 	power   []float64
 	traffic []float64
-	// wall collects the wall-power samples of deployed steps in time
-	// order; the merge derives RouterWallMedian from it.
-	wall []float64
+	// wall collects the wall-power samples of deployed steps; play
+	// reduces it to stats once the window is done (selection reorders
+	// it, so it is scratch afterwards).
+	wall  []float64
+	stats wallStats
 
 	// Instrumented-router traces (nil otherwise).
 	autopower *timeseries.Series
@@ -79,11 +82,15 @@ type routerShard struct {
 type ifacePlan struct {
 	itf    *Interface
 	handle device.Handle
-	spare  bool
+	// noise is the interface's noisePrefix on the calibrated fleet (the
+	// step-independent part of its noise hash); hierarchical fleets key
+	// their noise on Interface.noiseKey and leave it 0.
+	noise uint64
 	// rateSeries caches the instrumented per-interface rate trace so the
 	// per-step rates loop skips the map lookup; relinked lazily after a
 	// plan rebuild.
 	rateSeries *timeseries.Series
+	spare      bool
 
 	// Per-step scratch.
 	oper bool
@@ -96,6 +103,7 @@ type ifacePlan struct {
 // the backing array the itf pointers index into.
 func (sh *routerShard) buildPlan() error {
 	r := sh.router
+	hier := sh.net.hier
 	sh.plan = sh.plan[:0]
 	for i := range r.Interfaces {
 		itf := &r.Interfaces[i]
@@ -103,7 +111,11 @@ func (sh *routerShard) buildPlan() error {
 		if err != nil {
 			return err
 		}
-		sh.plan = append(sh.plan, ifacePlan{itf: itf, handle: h, spare: itf.Spare})
+		p := ifacePlan{itf: itf, handle: h, spare: itf.Spare}
+		if !hier {
+			p.noise = noisePrefix(r.Name, itf.Name)
+		}
+		sh.plan = append(sh.plan, p)
 		if sh.profiles != nil {
 			sh.profiles[itf.Name] = itf.Profile
 		}
@@ -117,21 +129,22 @@ func (sh *routerShard) buildPlan() error {
 // allocates its own here, once per window.
 func (sh *routerShard) ensureBuffers(cfg Config) {
 	r := sh.router
+	steps := len(sh.grid.times)
 	if sh.power == nil {
-		sh.power = make([]float64, len(sh.steps))
+		sh.power = make([]float64, steps)
 	}
 	if sh.traffic == nil {
-		sh.traffic = make([]float64, len(sh.steps))
+		sh.traffic = make([]float64, steps)
 	}
 	if sh.wall == nil {
-		sh.wall = make([]float64, 0, len(sh.steps))
+		sh.wall = make([]float64, 0, steps)
 	}
 	if sh.meter != nil {
 		subSteps := int(cfg.SNMPStep / cfg.AutopowerStep)
 		if cfg.SNMPStep%cfg.AutopowerStep != 0 {
 			subSteps++
 		}
-		sh.autopower = timeseries.NewWithCap(r.Name+".autopower", len(sh.steps)*subSteps)
+		sh.autopower = timeseries.NewWithCap(r.Name+".autopower", steps*subSteps)
 		sh.rates = make(map[string]*timeseries.Series, len(r.Interfaces))
 		sh.profiles = make(map[string]model.ProfileKey, len(r.Interfaces))
 	}
@@ -153,8 +166,8 @@ func (sh *routerShard) play() error {
 	}
 
 	events := sh.events
-	var cm [trafficgen.NumCohorts]float64
-	for si, t := range sh.steps {
+	g := sh.grid
+	for si, t := range g.times {
 		// Apply this router's due events in schedule order; events are the
 		// only mutation of the interface list, so the plan is rebuilt here
 		// and nowhere else.
@@ -177,11 +190,15 @@ func (sh *routerShard) play() error {
 		}
 
 		// Offer this step's loads: one lock acquisition for the whole
-		// batch, handle-addressed interface access, one diurnal (or cohort)
-		// multiplier evaluation for the step.
-		mult := n.diurnal.Multiplier(t, nil)
+		// batch, handle-addressed interface access, and the step's
+		// multiplier and unix seconds read from the grid.
+		unix := g.unix[si]
+		var mult float64
+		var cm *[trafficgen.NumCohorts]float64
 		if n.hier {
-			trafficgen.CohortMultipliers(t, &cm)
+			cm = &g.cohort[si]
+		} else {
+			mult = g.mult[si]
 		}
 		st := r.Device.BeginStep()
 		var stepTraffic float64
@@ -197,7 +214,12 @@ func (sh *routerShard) play() error {
 			if !present || !admin || !oper {
 				continue
 			}
-			load := n.loadAt(p.itf, r, t, mult, &cm)
+			var load units.BitRate
+			if cm != nil {
+				load = hierLoad(p.itf, cm, unix)
+			} else {
+				load = calibratedLoad(p.itf, mult, noiseAt(p.noise, unix))
+			}
 			if err := st.SetTraffic(p.handle, load, PacketRateAt(load)); err != nil {
 				st.End()
 				return fmt.Errorf("ispnet: %s/%s: %w", r.Name, p.itf.Name, err)
@@ -226,7 +248,7 @@ func (sh *routerShard) play() error {
 					rates, ok := sh.rates[p.itf.Name]
 					if !ok {
 						//jouleslint:ignore hotpath -- lazy per-interface series creation: first metered step for that interface only
-						rates = timeseries.NewWithCap(r.Name+"."+p.itf.Name+".rate", len(sh.steps))
+						rates = timeseries.NewWithCap(r.Name+"."+p.itf.Name+".rate", len(g.times))
 						sh.rates[p.itf.Name] = rates
 					}
 					p.rateSeries = rates
@@ -242,7 +264,7 @@ func (sh *routerShard) play() error {
 			if rep, err := r.Device.ReportedTotalPower(); err == nil {
 				if sh.snmp == nil {
 					//jouleslint:ignore hotpath -- lazy one-time creation of the reported-power series
-					sh.snmp = timeseries.NewWithCap(r.Name+".snmp", len(sh.steps))
+					sh.snmp = timeseries.NewWithCap(r.Name+".snmp", len(g.times))
 				}
 				sh.snmp.Append(t, rep.Watts())
 			}
@@ -257,6 +279,10 @@ func (sh *routerShard) play() error {
 		sh.traffic[si] = stepTraffic
 		sh.wall = append(sh.wall, w)
 	}
+	// The median and peak are final once the window is done: reduce them
+	// here, once, so no fold, splice or Resimulate ever revisits the
+	// samples.
+	sh.stats = selectWallStats(sh.wall)
 	// One-time PSU export after the window (§9.2). Taken here — not by
 	// the caller — so the draws land at the same point of the router's
 	// rng stream in cold and incremental replays alike.
@@ -272,7 +298,12 @@ func (sh *routerShard) play() error {
 // goroutine with zero pool overhead. The produced data is identical for
 // every worker count: shards share no mutable state and the caller reduces
 // their results in fleet order.
-func playShards(shards []*routerShard, workers int) error {
+//
+// A shard's wall samples are scratch once play has reduced them to its
+// stats, so each worker lends one wall buffer to every shard it plays
+// instead of each shard allocating its own. wall, when not nil, is the
+// serial path's buffer, kept across calls by its owner (a Fleet).
+func playShards(shards []*routerShard, workers int, wall *[]float64) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -280,10 +311,18 @@ func playShards(shards []*routerShard, workers int) error {
 		workers = len(shards)
 	}
 	if workers <= 1 {
+		var buf []float64
+		if wall != nil {
+			buf = *wall
+		}
 		for _, sh := range shards {
-			if err := sh.playInstrumented(); err != nil {
+			var err error
+			if buf, err = sh.playWith(buf); err != nil {
 				return err
 			}
+		}
+		if wall != nil {
+			*wall = buf
 		}
 		return nil
 	}
@@ -294,8 +333,9 @@ func playShards(shards []*routerShard, workers int) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []float64
 			for sh := range work {
-				sh.err = sh.playInstrumented()
+				buf, sh.err = sh.playWith(buf)
 			}
 		}()
 	}
@@ -313,6 +353,15 @@ func playShards(shards []*routerShard, workers int) error {
 		}
 	}
 	return nil
+}
+
+// playWith plays the shard with buf lent as its wall buffer (nil: play
+// allocates one) and hands the buffer back, grown as needed.
+func (sh *routerShard) playWith(buf []float64) ([]float64, error) {
+	sh.wall = buf[:0]
+	err := sh.playInstrumented()
+	buf, sh.wall = sh.wall, nil
+	return buf, err
 }
 
 // partitionEvents splits a time-sorted schedule into per-router queues.
@@ -335,14 +384,4 @@ func partitionEvents(evs []scheduledEvent) map[string][]scheduledEvent {
 		out[e.router] = append(q, e)
 	}
 	return out
-}
-
-// medianOf returns the median of the samples, sorting them in place.
-func medianOf(samples []float64) float64 {
-	sort.Float64s(samples)
-	mid := len(samples) / 2
-	if len(samples)%2 == 0 {
-		return (samples[mid-1] + samples[mid]) / 2
-	}
-	return samples[mid]
 }

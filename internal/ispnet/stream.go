@@ -5,12 +5,8 @@ import (
 	"sort"
 	"sync"
 
-	"fantasticjoules/internal/meter"
-	"fantasticjoules/internal/model"
-	"fantasticjoules/internal/psu"
 	"fantasticjoules/internal/telemetry"
 	"fantasticjoules/internal/timeseries"
-	"fantasticjoules/internal/units"
 )
 
 // Streaming simulation mode. Run keeps every shard's full-window buffers
@@ -136,25 +132,12 @@ type streamBufs struct {
 func (n *Network) RunStreamWithEvents(extra []FleetEvent, sink SeriesSink) (*Dataset, error) {
 	metricRuns.Inc()
 	metricStreamRuns.Inc()
-	steps := n.stepGrid()
-	capacity := n.totalCapacity()
-
-	meters := make(map[string]*meter.Meter)
-	for i, r := range n.AutopowerRouters() {
-		m := meter.New(n.meterSeed(i))
-		if err := m.Attach(0, r.Device); err != nil {
-			return nil, err
-		}
-		meters[r.Name] = m
-	}
-
-	evs := append(n.baseEvents(), extra...)
-	sortFleetEvents(evs)
-	compiled, err := n.compileEvents(evs)
+	run, err := n.prepareRun(extra)
 	if err != nil {
 		return nil, err
 	}
-	byRouter := partitionEvents(compiled)
+	grid := run.grid
+	steps := len(grid.nanos)
 
 	workers := n.Config.Workers
 	if workers <= 0 {
@@ -165,11 +148,6 @@ func (n *Network) RunStreamWithEvents(extra []FleetEvent, sink SeriesSink) (*Dat
 	}
 	window := workers + streamWindowSlack
 
-	stepNanos := make([]int64, len(steps))
-	for i, t := range steps {
-		stepNanos[i] = t.UnixNano()
-	}
-
 	// The bounded pipeline. slots preserves fleet order and its buffer is
 	// the admission window: the producer blocks once window shards are in
 	// flight, so at most window step-buffer sets exist at any instant.
@@ -178,10 +156,10 @@ func (n *Network) RunStreamWithEvents(extra []FleetEvent, sink SeriesSink) (*Dat
 	work := make(chan *streamSlot)
 	go func() {
 		for _, r := range n.Routers {
-			sh := n.newShard(r, meters[r.Name], byRouter[r.Name], steps)
+			sh := run.shard(r)
 			bufs := pool.Get().(*streamBufs)
-			sh.power = zeroedFloats(bufs.power, len(steps))
-			sh.traffic = zeroedFloats(bufs.traffic, len(steps))
+			sh.power = zeroedFloats(bufs.power, steps)
+			sh.traffic = zeroedFloats(bufs.traffic, steps)
 			sh.wall = bufs.wall[:0]
 			//jouleslint:ignore scratchsafety -- bounded handoff: the fold is the slot's only consumer and puts the buffers back before admitting another slot past the window
 			s := &streamSlot{sh: sh, bufs: bufs, done: make(chan struct{})}
@@ -204,21 +182,9 @@ func (n *Network) RunStreamWithEvents(extra []FleetEvent, sink SeriesSink) (*Dat
 	}
 
 	// The consumer folds in fleet order on the calling goroutine.
-	ds := &Dataset{
-		Network:          n,
-		TotalPower:       timeseries.NewWithCap("total-power", len(steps)),
-		TotalTraffic:     timeseries.NewWithCap("total-traffic", len(steps)),
-		TotalCapacity:    capacity,
-		RouterWallMedian: make(map[string]units.Power),
-		RouterWallPeak:   make(map[string]units.Power),
-		Autopower:        make(map[string]*timeseries.Series),
-		SNMPPower:        make(map[string]*timeseries.Series),
-		IfaceRates:       make(map[string]map[string]*timeseries.Series),
-		IfaceProfiles:    make(map[string]map[string]model.ProfileKey),
-		Events:           describeFleetEvents(evs),
-	}
-	totalPower := make([]float64, len(steps))
-	totalTraffic := make([]float64, len(steps))
+	ds := newDataset(n, steps, run.capacity, describeFleetEvents(run.evs))
+	totalPower := make([]float64, steps)
+	totalTraffic := make([]float64, steps)
 	var encBuf []byte
 	spill := func(router, series string, ts []int64, vs []float64) error {
 		for i := 0; i < len(vs); i += streamChunkPoints {
@@ -246,28 +212,19 @@ func (n *Network) RunStreamWithEvents(extra []FleetEvent, sink SeriesSink) (*Dat
 	fold := func(sh *routerShard) error {
 		// Identical addition sequence to Run's reduction: at every step,
 		// shard contributions accumulate in fleet order.
-		for si := range steps {
+		for si := range totalPower {
 			totalPower[si] += sh.power[si]
 			totalTraffic[si] += sh.traffic[si]
 		}
-		if err := spill(sh.router.Name, "power", stepNanos, sh.power); err != nil {
+		if err := spill(sh.router.Name, "power", grid.nanos, sh.power); err != nil {
 			return err
 		}
-		if err := spill(sh.router.Name, "traffic", stepNanos, sh.traffic); err != nil {
+		if err := spill(sh.router.Name, "traffic", grid.nanos, sh.traffic); err != nil {
 			return err
 		}
 		r := sh.router
-		if len(sh.wall) > 0 {
-			ds.RouterWallMedian[r.Name] = units.Power(medianOf(sh.wall))
-			ds.RouterWallPeak[r.Name] = units.Power(sh.wall[len(sh.wall)-1])
-		}
+		ds.addShard(sh)
 		if sh.meter != nil {
-			ds.Autopower[r.Name] = sh.autopower
-			ds.IfaceRates[r.Name] = sh.rates
-			ds.IfaceProfiles[r.Name] = sh.profiles
-			if sh.snmp != nil {
-				ds.SNMPPower[r.Name] = sh.snmp
-			}
 			if err := spillSeries(r.Name, sh.autopower); err != nil {
 				return err
 			}
@@ -288,13 +245,6 @@ func (n *Network) RunStreamWithEvents(extra []FleetEvent, sink SeriesSink) (*Dat
 					return err
 				}
 			}
-		}
-		if sh.psus != nil {
-			ds.PSUSnapshots = append(ds.PSUSnapshots, psu.RouterPSUs{
-				Router: r.Name,
-				Model:  r.Device.Model(),
-				PSUs:   sh.psus,
-			})
 		}
 		return nil
 	}
@@ -320,10 +270,8 @@ func (n *Network) RunStreamWithEvents(extra []FleetEvent, sink SeriesSink) (*Dat
 		return nil, firstErr
 	}
 
-	for si, t := range steps {
-		ds.TotalPower.Append(t, totalPower[si])
-		ds.TotalTraffic.Append(t, totalTraffic[si])
-	}
+	ds.TotalPower.AppendBlock(grid.nanos, totalPower)
+	ds.TotalTraffic.AppendBlock(grid.nanos, totalTraffic)
 	return ds, nil
 }
 
