@@ -98,57 +98,61 @@ func suiteCfg() Config {
 	}
 }
 
-// coldShards builds the network and wires every router's shard for a
+// coldJobs builds the network and stages every router's replay job for a
 // cold run, ready to play.
-func coldShards(tb testing.TB, cfg Config) (*Network, *coldRun, []*routerShard) {
+func coldJobs(tb testing.TB, cfg Config) (*Network, *stepGrid, []replayJob) {
 	tb.Helper()
 	n, err := Build(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	run, err := n.prepareRun(nil)
+	_, byRouter, err := n.schedule(nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	shards := make([]*routerShard, len(n.Routers))
-	for i, r := range n.Routers {
-		shards[i] = run.shard(r)
+	jobs, err := n.jobs(byRouter, n.meterSeeds())
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return n, run, shards
+	return n, n.stepGrid(), jobs
 }
 
-// BenchmarkShardPlay times the per-router play loop alone — every shard
-// of the calibrated fleet at the suite resolution, serially — with Build,
-// meter attachment and event compilation outside the timer, and reports
-// the cost per router-step (one router advanced by one SNMP step).
+// BenchmarkShardPlay times the replay pipeline alone — every shard of the
+// calibrated fleet at the suite resolution, serially, handed to a
+// consumer that keeps nothing — with Build, meter attachment and event
+// compilation outside the timer, and reports the cost per router-step
+// (one router advanced by one SNMP step).
 func BenchmarkShardPlay(b *testing.B) {
 	b.ReportAllocs()
 	routerSteps := 0
+	discard := func(int, *routerShard) (bool, error) { return false, nil }
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		_, run, shards := coldShards(b, suiteCfg())
+		n, grid, jobs := coldJobs(b, suiteCfg())
 		b.StartTimer()
-		if err := playShards(shards, 1, nil); err != nil {
+		if err := (&player{workers: 1}).play(n, grid, jobs, discard); err != nil {
 			b.Fatal(err)
 		}
-		routerSteps += len(shards) * len(run.grid.times)
+		routerSteps += len(jobs) * len(grid.times)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(routerSteps), "ns/router-step")
 }
 
-// BenchmarkFold times the dataset assembly alone: the fleet-order fold of
-// 107 played shards at the suite resolution into the network totals,
-// plus the per-router wall stats and traces. The shards play once,
-// outside the timer; assembly reads them without mutating them.
+// BenchmarkFold times the fold alone: a Fleet replay with no dirty
+// routers, which folds the 107 retained shards of the calibrated fleet at
+// the suite resolution into the network totals, plus the per-router wall
+// stats and traces. The fold reads the retained shards without mutating
+// them.
 func BenchmarkFold(b *testing.B) {
-	n, run, shards := coldShards(b, suiteCfg())
-	if err := playShards(shards, 1, nil); err != nil {
+	f, err := NewFleet(suiteCfg())
+	if err != nil {
 		b.Fatal(err)
 	}
-	events := describeFleetEvents(run.evs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.assembleDataset(run.grid, shards, events, run.capacity)
+		if _, err := f.replay(nil, f.described); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

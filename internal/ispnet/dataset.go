@@ -2,7 +2,7 @@ package ispnet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"fantasticjoules/internal/device"
@@ -86,91 +86,104 @@ func SimulateWithEvents(cfg Config, extra []FleetEvent) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n.RunWithEvents(extra)
+	return n.run(extra, nil)
 }
 
-// Run plays the study window over the already-built network.
-//
-// The replay is sharded by router: every router's timeline (its filtered
-// events, its device advances, its wall samples and — when instrumented —
-// its meter and rate traces) is played independently by a worker pool
-// bounded by Config.Workers, then the per-shard results are reduced into
-// the network-wide series in fixed fleet order. Because each shard owns
-// all the state it touches and the reduction order never varies, the
-// Dataset is bit-identical for every worker count, including the serial
-// Workers=1 path.
-func (n *Network) Run() (*Dataset, error) {
-	return n.RunWithEvents(nil)
-}
-
-// RunWithEvents plays the study window with extra declarative events
-// merged into the built-in schedule. The network must be freshly built:
-// events mutate routers, so a second Run over the same network replays a
-// different deployment.
-func (n *Network) RunWithEvents(extra []FleetEvent) (*Dataset, error) {
+// run plays the study window over a freshly built network, with extra
+// events merged into the built-in schedule: every router is replayed by
+// the pipeline and folded in fleet order, and with a sink its series
+// spill to it as they are folded. The network must be fresh because
+// events mutate routers: a second run replays a different deployment.
+func (n *Network) run(extra []FleetEvent, sink SeriesSink) (*Dataset, error) {
 	metricRuns.Inc()
-	run, err := n.prepareRun(extra)
+	evs, byRouter, err := n.schedule(extra)
 	if err != nil {
 		return nil, err
 	}
-	// Shard the fleet: one worker plays one router's full timeline.
-	shards := make([]*routerShard, len(n.Routers))
-	for i, r := range n.Routers {
-		shards[i] = run.shard(r)
-	}
-	if err := playShards(shards, n.Config.Workers, nil); err != nil {
+	jobs, err := n.jobs(byRouter, n.meterSeeds())
+	if err != nil {
 		return nil, err
 	}
-	return n.assembleDataset(run.grid, shards, describeFleetEvents(run.evs), run.capacity), nil
-}
-
-// coldRun is what a replay of a freshly built network needs before any
-// shard plays; Run and RunStream share it.
-type coldRun struct {
-	n    *Network
-	grid *stepGrid
-	// capacity is a deployment property of the pristine build: scheduled
-	// events change what is up, not what was provisioned.
-	capacity units.BitRate
-	// meters holds one external meter per instrumented router, by name.
-	meters map[string]*meter.Meter
-	// evs is the sorted schedule (built-in plus extra); byRouter is it
-	// compiled and split per router.
-	evs      []FleetEvent
-	byRouter map[string][]scheduledEvent
-}
-
-// prepareRun builds the step grid, attaches the meters and compiles the
-// schedule for a cold replay.
-func (n *Network) prepareRun(extra []FleetEvent) (*coldRun, error) {
-	run := &coldRun{
-		n:        n,
-		grid:     n.stepGrid(),
-		capacity: n.totalCapacity(),
-		meters:   make(map[string]*meter.Meter),
+	grid := n.stepGrid()
+	var keep func(int, *routerShard) (bool, error)
+	if sink != nil {
+		keep = (&spiller{sink: sink, nanos: grid.nanos}).spill
 	}
-	// Meter seeds depend only on the instrumentation order, never on
-	// worker scheduling.
-	for i, r := range n.AutopowerRouters() {
-		m := meter.New(n.meterSeed(i))
-		if err := m.Attach(0, r.Device); err != nil {
+	return n.replay(&player{workers: n.Config.Workers}, grid, jobs, n.totalCapacity(), describeFleetEvents(evs), nil, keep)
+}
+
+// schedule returns the built-in schedule with extra merged in, sorted by
+// due time, and split per router. Cold runs and NewFleet both start
+// here. An event that fails validation or names no router of the
+// network fails the whole schedule.
+func (n *Network) schedule(extra []FleetEvent) ([]FleetEvent, map[string][]FleetEvent, error) {
+	evs := append(n.baseEvents(), extra...)
+	sortFleetEvents(evs)
+	for _, e := range evs {
+		if err := e.validate(); err != nil {
+			return nil, nil, err
+		}
+		if _, ok := n.byName[e.Router]; !ok {
+			return nil, nil, fmt.Errorf("ispnet: event %s: unknown router %q", e.Op, e.Router)
+		}
+	}
+	return evs, splitByRouter(evs), nil
+}
+
+// splitByRouter splits a sorted schedule per router. Each router's share
+// keeps its schedule order — events due at the same step included — so
+// every router applies its events exactly as the whole schedule orders
+// them.
+func splitByRouter(evs []FleetEvent) map[string][]FleetEvent {
+	out := make(map[string][]FleetEvent)
+	for _, e := range evs {
+		out[e.Router] = append(out[e.Router], e)
+	}
+	return out
+}
+
+// jobs builds one replay job per router of a freshly built network, in
+// fleet order.
+func (n *Network) jobs(byRouter map[string][]FleetEvent, meterSeeds map[string]int64) ([]replayJob, error) {
+	jobs := make([]replayJob, len(n.Routers))
+	for i, r := range n.Routers {
+		j, err := n.newJob(i, r, byRouter[r.Name], meterSeeds)
+		if err != nil {
 			return nil, err
 		}
-		run.meters[r.Name] = m
+		jobs[i] = j
 	}
-	run.evs = append(n.baseEvents(), extra...)
-	sortFleetEvents(run.evs)
-	compiled, err := n.compileEvents(run.evs)
-	if err != nil {
-		return nil, err
-	}
-	run.byRouter = partitionEvents(compiled)
-	return run, nil
+	return jobs, nil
 }
 
-// shard wires router r's replay unit for the run.
-func (run *coldRun) shard(r *Router) *routerShard {
-	return run.n.newShard(r, run.meters[r.Name], run.byRouter[r.Name], run.grid)
+// newJob stages router r, at fleet index i, for replay: its share of the
+// sorted, validated schedule compiled against r, and a fresh external
+// meter attached to r when the router is instrumented.
+func (n *Network) newJob(i int, r *Router, sched []FleetEvent, meterSeeds map[string]int64) (replayJob, error) {
+	j := replayJob{idx: i, router: r, sched: sched, events: make([]scheduledEvent, len(sched))}
+	for k, e := range sched {
+		j.events[k] = n.compileEvent(r, e)
+	}
+	if seed, ok := meterSeeds[r.Name]; ok {
+		j.meter = meter.New(seed)
+		if err := j.meter.Attach(0, r.Device); err != nil {
+			return replayJob{}, err
+		}
+	}
+	return j, nil
+}
+
+// meterSeeds maps every instrumented router to its external-meter seed.
+// The seeds follow the AutopowerRouters order of the pristine build,
+// never worker scheduling; they are part of the dataset's determinism
+// contract, because an incremental replay must recreate the exact meter
+// a cold run attached.
+func (n *Network) meterSeeds() map[string]int64 {
+	seeds := make(map[string]int64)
+	for i, r := range n.AutopowerRouters() {
+		seeds[r.Name] = n.Config.Seed + int64(i) + 1000
+	}
+	return seeds
 }
 
 // totalCapacity sums the provisioned (non-spare) interface capacity, each
@@ -188,72 +201,35 @@ func (n *Network) totalCapacity() units.BitRate {
 	return c
 }
 
-// meterSeed derives the external-meter seed for the i-th instrumented
-// router (AutopowerRouters order). The formula is part of the dataset's
-// determinism contract: an incremental replay must recreate the exact
-// meter a cold run would have attached.
-func (n *Network) meterSeed(i int) int64 {
-	return n.Config.Seed + int64(i) + 1000
+// fold is the one reduction of a replay into a dataset. Its totals are
+// the columns that become TotalPower and TotalTraffic.
+type fold struct {
+	ds             *Dataset
+	power, traffic []float64
 }
 
-// newShard wires one router's replay unit.
-func (n *Network) newShard(r *Router, m *meter.Meter, evs []scheduledEvent, grid *stepGrid) *routerShard {
-	return &routerShard{
-		net:    n,
-		router: r,
-		meter:  m,
-		events: evs,
-		grid:   grid,
-		snapAt: n.Config.Start.Add(n.Config.Duration / 2),
+// addInto adds a router's step column into a total column: the one place
+// router contributions are summed.
+func addInto(total, col []float64) {
+	for i, v := range col {
+		total[i] += v
 	}
 }
 
-// foldBlock is how many steps assembleDataset sums per pass over the
-// shards: two blocks of totals fit in a few KB of stack, so the fold
-// allocates nothing beyond the output series.
-const foldBlock = 512
-
-// assembleDataset reduces played shards into the network-wide dataset in
-// fixed fleet order, so the result is bit-identical for every worker
-// count — and for any replayed/reused shard mix in the incremental path.
-//
-// The totals fold shard-major, one block of steps at a time, and append
-// each finished block to the output series. Every step's sum still starts
-// at 0 and adds the shards in fleet order (a router contributes exactly 0
-// while undeployed), so the floating-point result is the same as a
-// step-major loop's — and the same as the stream and chunk folds'.
-func (n *Network) assembleDataset(g *stepGrid, shards []*routerShard, events []Event, capacity units.BitRate) *Dataset {
-	ds := newDataset(n, len(g.nanos), capacity, events)
-	var power, traffic [foldBlock]float64
-	for lo := 0; lo < len(g.nanos); lo += foldBlock {
-		hi := min(lo+foldBlock, len(g.nanos))
-		p, tr := power[:hi-lo], traffic[:hi-lo]
-		clear(p)
-		clear(tr)
-		for _, sh := range shards {
-			for i, v := range sh.power[lo:hi] {
-				p[i] += v
-			}
-			for i, v := range sh.traffic[lo:hi] {
-				tr[i] += v
-			}
-		}
-		ds.TotalPower.AppendBlock(g.nanos[lo:hi], p)
-		ds.TotalTraffic.AppendBlock(g.nanos[lo:hi], tr)
-	}
-	for _, sh := range shards {
-		ds.addShard(sh)
-	}
-	return ds
-}
-
-// newDataset returns an empty dataset with its total series sized for
-// steps points — the starting point of every fold.
-func newDataset(n *Network, steps int, capacity units.BitRate, events []Event) *Dataset {
-	return &Dataset{
+// replay plays the jobs (in fleet order) through the pipeline and folds
+// the whole fleet, in order, into a new dataset. A router with a job is
+// folded from its played shard, which keep then sees (nil keeps
+// nothing); every other router is folded by restore from its retention.
+// So every step's total is a left fold over the fleet in router order,
+// starting at 0 — a router contributes exactly 0 while undeployed —
+// whatever the worker count and whichever routers were replayed: the
+// whole bit-identity contract between cold, streamed and incremental
+// runs.
+func (n *Network) replay(pl *player, grid *stepGrid, jobs []replayJob, capacity units.BitRate, events []Event,
+	restore func(fo *fold, i int) error, keep func(k int, sh *routerShard) (bool, error)) (*Dataset, error) {
+	steps := len(grid.nanos)
+	ds := &Dataset{
 		Network:          n,
-		TotalPower:       timeseries.NewWithCap("total-power", steps),
-		TotalTraffic:     timeseries.NewWithCap("total-traffic", steps),
 		TotalCapacity:    capacity,
 		RouterWallMedian: make(map[string]units.Power),
 		RouterWallPeak:   make(map[string]units.Power),
@@ -263,6 +239,38 @@ func newDataset(n *Network, steps int, capacity units.BitRate, events []Event) *
 		IfaceProfiles:    make(map[string]map[string]model.ProfileKey),
 		Events:           events,
 	}
+	fo := &fold{ds: ds, power: make([]float64, steps), traffic: make([]float64, steps)}
+	next := 0
+	restoreTo := func(end int) error {
+		for ; next < end; next++ {
+			if err := restore(fo, next); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err := pl.play(n, grid, jobs, func(k int, sh *routerShard) (bool, error) {
+		if err := restoreTo(jobs[k].idx); err != nil {
+			return false, err
+		}
+		addInto(fo.power, sh.power)
+		addInto(fo.traffic, sh.traffic)
+		ds.addShard(sh)
+		next++
+		if keep == nil {
+			return false, nil
+		}
+		return keep(k, sh)
+	})
+	if err == nil {
+		err = restoreTo(len(n.Routers))
+	}
+	if err != nil {
+		return nil, err
+	}
+	ds.TotalPower = timeseries.FromColumns("total-power", slices.Clone(grid.nanos), fo.power)
+	ds.TotalTraffic = timeseries.FromColumns("total-traffic", slices.Clone(grid.nanos), fo.traffic)
+	return ds, nil
 }
 
 // addShard records a played shard's per-router results: its
@@ -302,10 +310,9 @@ func (ds *Dataset) addRouter(r *Router, w wallStats, psus []psu.Snapshot) {
 
 // scheduledEvent is an event with its mutation.
 type scheduledEvent struct {
-	at     time.Time
-	desc   string
-	router string
-	apply  func() error
+	at    time.Time
+	desc  string
+	apply func() error
 }
 
 // baseEvents returns the built-in Fig. 4 schedule as declarative
@@ -361,28 +368,6 @@ func (n *Network) baseEvents() []FleetEvent {
 		}
 	}
 	return evs
-}
-
-// scheduleEvents compiles the built-in schedule against the current
-// network. Kept as the one-call form the schedule tests exercise.
-func (n *Network) scheduleEvents() []scheduledEvent {
-	evs := n.baseEvents()
-	sortFleetEvents(evs)
-	compiled, err := n.compileEvents(evs)
-	if err != nil {
-		// Unreachable: the built-in schedule only references routers and
-		// ops this network owns.
-		panic(err)
-	}
-	return compiled
-}
-
-// sortSchedule orders a schedule by due time. The sort is stable: events
-// due at the same instant keep their schedule (append) order, which
-// partitionEvents preserves per router — the apply order the simulation
-// guarantees at every step.
-func sortSchedule(evs []scheduledEvent) {
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at.Before(evs[j].at) })
 }
 
 // dropInterface removes an interface from the deployment records and

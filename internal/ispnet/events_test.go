@@ -11,41 +11,44 @@ import (
 func TestSortScheduleStableOnTies(t *testing.T) {
 	at := time.Date(2024, 9, 10, 0, 0, 0, 0, time.UTC)
 	later := at.Add(24 * time.Hour)
-	evs := []scheduledEvent{
-		{at: later, router: "r1", desc: "r1 late"},
-		{at: at, router: "r1", desc: "r1 first"},
-		{at: at, router: "r2", desc: "r2 first"},
-		{at: at, router: "r1", desc: "r1 second"},
-		{at: at, router: "r2", desc: "r2 second"},
+	evs := []FleetEvent{
+		{At: later, Router: "r1", Desc: "r1 late"},
+		{At: at, Router: "r1", Desc: "r1 first"},
+		{At: at, Router: "r2", Desc: "r2 first"},
+		{At: at, Router: "r1", Desc: "r1 second"},
+		{At: at, Router: "r2", Desc: "r2 second"},
 	}
-	sortSchedule(evs)
+	sortFleetEvents(evs)
 
 	wantOrder := []string{"r1 first", "r2 first", "r1 second", "r2 second", "r1 late"}
 	for i, want := range wantOrder {
-		if evs[i].desc != want {
-			t.Fatalf("sorted[%d] = %q, want %q", i, evs[i].desc, want)
+		if evs[i].Desc != want {
+			t.Fatalf("sorted[%d] = %q, want %q", i, evs[i].Desc, want)
 		}
 	}
 }
 
 // TestPartitionEventsPreservesPerRouterOrder checks that splitting the
-// global schedule into per-router queues never reorders a router's own
+// sorted schedule into per-router queues never reorders a router's own
 // events, ties included.
 func TestPartitionEventsPreservesPerRouterOrder(t *testing.T) {
 	at := time.Date(2024, 9, 10, 0, 0, 0, 0, time.UTC)
-	evs := []scheduledEvent{
-		{at: at, router: "r1", desc: "a"},
-		{at: at, router: "r2", desc: "b"},
-		{at: at, router: "r1", desc: "c"},
-		{at: at.Add(time.Hour), router: "r2", desc: "d"},
-		{at: at.Add(time.Hour), router: "r1", desc: "e"},
+	evs := []FleetEvent{
+		{At: at, Router: "r1", Desc: "a"},
+		{At: at, Router: "r2", Desc: "b"},
+		{At: at, Router: "r1", Desc: "c"},
+		{At: at.Add(time.Hour), Router: "r2", Desc: "d"},
+		{At: at.Add(time.Hour), Router: "r1", Desc: "e"},
 	}
-	sortSchedule(evs)
-	byRouter := partitionEvents(evs)
+	sortFleetEvents(evs)
+	byRouter := splitByRouter(evs)
 
 	want := map[string][]string{
 		"r1": {"a", "c", "e"},
 		"r2": {"b", "d"},
+	}
+	if len(byRouter) != len(want) {
+		t.Fatalf("split into %d routers, want %d", len(byRouter), len(want))
 	}
 	for router, descs := range want {
 		got := byRouter[router]
@@ -53,44 +56,46 @@ func TestPartitionEventsPreservesPerRouterOrder(t *testing.T) {
 			t.Fatalf("%s: %d events, want %d", router, len(got), len(descs))
 		}
 		for i, d := range descs {
-			if got[i].desc != d {
-				t.Fatalf("%s[%d] = %q, want %q", router, i, got[i].desc, d)
+			if got[i].Desc != d {
+				t.Fatalf("%s[%d] = %q, want %q", router, i, got[i].Desc, d)
 			}
 		}
 	}
 }
 
 // TestRealSchedulePartitionConsistent checks the invariants on the real
-// Fig. 4 schedule: the global schedule is time-sorted, and each router's
-// filtered queue is the subsequence of the global schedule belonging to
-// that router, in the same relative order.
+// Fig. 4 schedule as cold runs and NewFleet build it: the global schedule
+// is time-sorted, and each router's queue is the subsequence of the
+// global schedule belonging to that router, in the same relative order.
 func TestRealSchedulePartitionConsistent(t *testing.T) {
 	n, err := Build(fullCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := n.scheduleEvents()
+	evs, byRouter, err := n.schedule(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(evs) < 5 {
 		t.Fatalf("events = %d, want the Fig. 4 set", len(evs))
 	}
 	for i := 1; i < len(evs); i++ {
-		if evs[i].at.Before(evs[i-1].at) {
-			t.Fatalf("schedule not time-sorted at %d: %v after %v", i, evs[i].at, evs[i-1].at)
+		if evs[i].At.Before(evs[i-1].At) {
+			t.Fatalf("schedule not time-sorted at %d: %v after %v", i, evs[i].At, evs[i-1].At)
 		}
 	}
 
-	byRouter := partitionEvents(evs)
 	// Walking the global schedule must replay each per-router queue front
-	// to back — i.e. filtering never reorders a router's own events.
+	// to back — i.e. splitting never reorders a router's own events.
 	cursor := make(map[string]int)
 	total := 0
 	for _, e := range evs {
-		q := byRouter[e.router]
-		i := cursor[e.router]
-		if i >= len(q) || q[i].desc != e.desc || !q[i].at.Equal(e.at) {
-			t.Fatalf("per-router queue for %s out of order at global event %q", e.router, e.desc)
+		q := byRouter[e.Router]
+		i := cursor[e.Router]
+		if i >= len(q) || q[i] != e {
+			t.Fatalf("per-router queue for %s out of order at global event %q", e.Router, e.describe())
 		}
-		cursor[e.router] = i + 1
+		cursor[e.Router] = i + 1
 		total++
 	}
 	for router, q := range byRouter {
@@ -99,7 +104,7 @@ func TestRealSchedulePartitionConsistent(t *testing.T) {
 		}
 	}
 	if total != len(evs) {
-		t.Fatalf("partition lost events: %d vs %d", total, len(evs))
+		t.Fatalf("split lost events: %d vs %d", total, len(evs))
 	}
 }
 

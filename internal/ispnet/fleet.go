@@ -7,6 +7,7 @@ import (
 
 	"fantasticjoules/internal/device"
 	"fantasticjoules/internal/meter"
+	"fantasticjoules/internal/timeseries"
 	"fantasticjoules/internal/units"
 )
 
@@ -146,41 +147,6 @@ func describeFleetEvents(evs []FleetEvent) []Event {
 	return out
 }
 
-// compileEvents resolves a sorted declarative schedule against the
-// network's current router objects, producing the closure form the shard
-// replay consumes.
-func (n *Network) compileEvents(evs []FleetEvent) ([]scheduledEvent, error) {
-	out := make([]scheduledEvent, 0, len(evs))
-	for _, e := range evs {
-		if err := e.validate(); err != nil {
-			return nil, err
-		}
-		r, ok := n.byName[e.Router]
-		if !ok {
-			return nil, fmt.Errorf("ispnet: event %s: unknown router %q", e.Op, e.Router)
-		}
-		out = append(out, n.compileEvent(r, e))
-	}
-	return out, nil
-}
-
-// compileRouterEvents compiles one router's sorted schedule against the
-// given router object — for a Fleet, the blueprint rebuild a Resimulate
-// stages, which the network does not hold yet. Every event must name r.
-func (n *Network) compileRouterEvents(r *Router, evs []FleetEvent) ([]scheduledEvent, error) {
-	out := make([]scheduledEvent, 0, len(evs))
-	for _, e := range evs {
-		if err := e.validate(); err != nil {
-			return nil, err
-		}
-		if e.Router != r.Name {
-			return nil, fmt.Errorf("ispnet: event %s for %q compiled against %q", e.Op, e.Router, r.Name)
-		}
-		out = append(out, n.compileEvent(r, e))
-	}
-	return out, nil
-}
-
 // compileEvent binds one validated event to router r. Compile each
 // replay: after a dirty router is rebuilt, the closures must capture the
 // new *Router.
@@ -243,7 +209,7 @@ func (n *Network) compileEvent(r *Router, e FleetEvent) scheduledEvent {
 			return nil
 		}
 	}
-	return scheduledEvent{at: e.At, desc: e.describe(), router: e.Router, apply: apply}
+	return scheduledEvent{at: e.At, desc: e.describe(), apply: apply}
 }
 
 // Fleet is the retained-state form of Simulate. It keeps the built
@@ -262,10 +228,11 @@ func (n *Network) compileEvent(r *Router, e FleetEvent) scheduledEvent {
 //     router exactly (blueprint_test.go pins this against Build),
 //   - the PSU snapshot is captured inside each shard's replay, so clean
 //     routers' rng streams are never re-advanced,
-//   - the dataset reduction runs over the full router list in fleet
-//     order, exactly as the cold path does.
+//   - the one fold runs over the full router list in fleet order,
+//     whether a router was replayed or restored, exactly as a cold run
+//     folds it.
 //
-// The work of a Resimulate is O(dirty) except for that reduction: it
+// The work of a Resimulate is O(dirty) except for that fold: it
 // rebuilds, recompiles and replays only the dirty routers, and merges the
 // new events into a schedule it keeps sorted and described.
 //
@@ -308,16 +275,15 @@ type Fleet struct {
 	byRouter  map[string][]FleetEvent
 	described []Event
 
-	// Exactly one retention representation is populated. The calibrated
-	// fleet keeps live shards (their instrumented traces are part of the
-	// dataset); hierarchical fleets keep the bounded chunk retention of
-	// fleet_chunks.go.
+	// Retention, by fleet index, in the form chunked selects (see
+	// fleet_chunks.go); the other slice holds only zero values.
 	shards  []*routerShard
 	chunked bool
 	chunks  []routerChunks
-	// wall is the serial replay's wall-sample scratch, lent to each
-	// replayed shard in turn (see playShards).
-	wall []float64
+	// player is the replay pipeline; its free list of step buffers
+	// outlives every Resimulate. scratch is the chunk decode buffer.
+	player  player
+	scratch *timeseries.Series
 
 	ds *Dataset
 }
@@ -388,17 +354,19 @@ func (f *Fleet) capture(i int) {
 
 // replayJob is one router staged for replay: its fleet index, the router
 // object to play (a blueprint rebuild, or the built router on the first
-// play), its merged schedule and that schedule compiled against it.
+// play), its merged schedule, that schedule compiled against it, and its
+// external meter (nil unless instrumented).
 type replayJob struct {
 	idx    int
 	router *Router
 	sched  []FleetEvent
 	events []scheduledEvent
+	meter  *meter.Meter
 }
 
 // stagedReplay is a replay's output before commit: the new dataset plus
-// the retention of the replayed routers — the full shard list in live
-// mode, or one routerChunks per job in chunk mode.
+// the retention of the replayed routers, by job, in the form retain
+// stages.
 type stagedReplay struct {
 	ds     *Dataset
 	shards []*routerShard
@@ -412,27 +380,30 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
+	base, byRouter, err := n.schedule(nil)
+	if err != nil {
+		return nil, err
+	}
 	f := &Fleet{
 		cfg:        n.Config, // defaults applied by Build
 		net:        n,
 		grid:       n.stepGrid(),
 		capacity:   n.totalCapacity(),
 		index:      make(map[string]int, len(n.Routers)),
-		meterSeeds: make(map[string]int64),
+		meterSeeds: n.meterSeeds(),
 		blueprints: make(map[int]*routerBlueprint),
-		base:       n.baseEvents(),
-		byRouter:   make(map[string][]FleetEvent),
+		base:       base,
+		byRouter:   byRouter,
+		described:  describeFleetEvents(base),
+		shards:     make([]*routerShard, len(n.Routers)),
+		chunks:     make([]routerChunks, len(n.Routers)),
+		player:     player{workers: n.Config.Workers},
+		scratch:    timeseries.New("chunk-splice"),
 	}
 	for i, r := range n.Routers {
 		f.index[r.Name] = i
 	}
-	for i, r := range n.AutopowerRouters() {
-		f.meterSeeds[r.Name] = n.meterSeed(i)
-	}
-	sortFleetEvents(f.base)
-	f.described = describeFleetEvents(f.base)
 	for _, e := range f.base {
-		f.byRouter[e.Router] = append(f.byRouter[e.Router], e)
 		f.capture(f.index[e.Router])
 	}
 	// Generated hierarchical fleets retain encoded chunks instead of live
@@ -442,14 +413,9 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	f.chunked = n.Hierarchical() && len(f.meterSeeds) == 0
 	metricRuns.Inc()
 
-	jobs := make([]replayJob, len(n.Routers))
-	for i, r := range n.Routers {
-		sched := f.byRouter[r.Name]
-		compiled, err := n.compileRouterEvents(r, sched)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = replayJob{idx: i, router: r, sched: sched, events: compiled}
+	jobs, err := n.jobs(byRouter, f.meterSeeds)
+	if err != nil {
+		return nil, err
 	}
 	st, err := f.replay(jobs, f.described)
 	if err != nil {
@@ -472,21 +438,6 @@ func (f *Fleet) Dataset() *Dataset { return f.ds }
 // voids the bit-identity guarantee.
 func (f *Fleet) Network() *Network { return f.net }
 
-// Events returns the merged declarative schedule (built-in plus every
-// perturbation, pending ones included), sorted by due time — the event
-// list a cold SimulateWithEvents needs to reproduce the dataset the next
-// Resimulate produces. Like ExtraEvents it returns a defensive copy:
-// callers may mutate or re-sort the slice without corrupting the
-// retained replay state.
-func (f *Fleet) Events() []FleetEvent {
-	out := make([]FleetEvent, 0, len(f.base)+len(f.extra)+len(f.pending))
-	out = append(out, f.base...)
-	out = append(out, f.extra...)
-	out = append(out, f.pending...)
-	sortFleetEvents(out)
-	return out
-}
-
 // ExtraEvents returns a copy of every perturbation applied since the
 // fleet was built (the schedule beyond the built-in base events), pending
 // ones included. After a Resimulate, a cold
@@ -496,16 +447,6 @@ func (f *Fleet) ExtraEvents() []FleetEvent {
 	out := make([]FleetEvent, 0, len(f.extra)+len(f.pending))
 	out = append(out, f.extra...)
 	return append(out, f.pending...)
-}
-
-// DirtyRouters returns the number of routers queued for replay by
-// perturbations since the last Resimulate.
-func (f *Fleet) DirtyRouters() int {
-	dirty := make(map[string]bool)
-	for _, e := range f.pending {
-		dirty[e.Router] = true
-	}
-	return len(dirty)
 }
 
 // Perturb queues declarative events and marks their routers dirty. The
@@ -547,13 +488,10 @@ func (f *Fleet) Resimulate() (*Dataset, error) {
 	// whole schedule would place it.
 	batch := append([]FleetEvent(nil), pending...)
 	sortFleetEvents(batch)
-	perRouter := make(map[string][]FleetEvent)
-	var dirty []int
-	for _, e := range batch {
-		if _, ok := perRouter[e.Router]; !ok {
-			dirty = append(dirty, f.index[e.Router])
-		}
-		perRouter[e.Router] = append(perRouter[e.Router], e)
+	perRouter := splitByRouter(batch)
+	dirty := make([]int, 0, len(perRouter))
+	for name := range perRouter {
+		dirty = append(dirty, f.index[name])
 	}
 	sort.Ints(dirty)
 
@@ -564,11 +502,9 @@ func (f *Fleet) Resimulate() (*Dataset, error) {
 			return nil, err
 		}
 		sched := mergeByTime(f.byRouter[r.Name], perRouter[r.Name], fleetEventAt)
-		compiled, err := f.net.compileRouterEvents(r, sched)
-		if err != nil {
+		if jobs[k], err = f.net.newJob(i, r, sched, f.meterSeeds); err != nil {
 			return nil, err
 		}
-		jobs[k] = replayJob{idx: i, router: r, sched: sched, events: compiled}
 	}
 	described := mergeByTime(f.described, describeFleetEvents(batch), eventTime)
 	st, err := f.replay(jobs, described)
@@ -581,58 +517,42 @@ func (f *Fleet) Resimulate() (*Dataset, error) {
 	return f.ds, nil
 }
 
-// replay plays the jobs (in fleet order) and stages the dataset and the
-// replayed routers' retention. It modifies nothing the fleet retains.
+// replay plays the jobs (in fleet order) and folds the fleet into a
+// staged dataset and the replayed routers' staged retention. It modifies
+// nothing the fleet retains.
 func (f *Fleet) replay(jobs []replayJob, described []Event) (*stagedReplay, error) {
-	if f.chunked {
-		return f.replayChunked(jobs, described)
-	}
-	n := f.net
-	shards := make([]*routerShard, len(n.Routers))
-	copy(shards, f.shards)
-	play := make([]*routerShard, len(jobs))
-	for k, j := range jobs {
-		var m *meter.Meter
-		if seed, ok := f.meterSeeds[j.router.Name]; ok {
-			m = meter.New(seed)
-			if err := m.Attach(0, j.router.Device); err != nil {
-				return nil, err
-			}
-		}
-		play[k] = n.newShard(j.router, m, j.events, f.grid)
-		shards[j.idx] = play[k]
-	}
-	metricShardsReused.Add(uint64(len(n.Routers) - len(jobs)))
-	metricShardsReplayed.Add(uint64(len(play)))
-	if err := playShards(play, f.cfg.Workers, &f.wall); err != nil {
+	st := &stagedReplay{shards: make([]*routerShard, len(jobs)), chunks: make([]routerChunks, len(jobs))}
+	metricShardsReplayed.Add(uint64(len(jobs)))
+	metricShardsReused.Add(uint64(len(f.net.Routers) - len(jobs)))
+	ds, err := f.net.replay(&f.player, f.grid, jobs, f.capacity, described, f.restore,
+		func(k int, sh *routerShard) (bool, error) { return f.retain(st, k, sh), nil })
+	if err != nil {
 		return nil, err
 	}
-	return &stagedReplay{ds: n.assembleDataset(f.grid, shards, described, f.capacity), shards: shards}, nil
+	st.ds = ds
+	return st, nil
 }
 
 // commit installs a successful replay: the replayed routers and their
-// schedules, their retention, and the dataset.
+// schedules, their retention, and the dataset. A replaced live shard's
+// step columns go back to the pipeline's free list.
 func (f *Fleet) commit(jobs []replayJob, st *stagedReplay) {
-	for _, j := range jobs {
+	delta := 0
+	for k, j := range jobs {
 		f.net.Routers[j.idx] = j.router
 		f.net.byName[j.router.Name] = j.router
 		if len(j.sched) > 0 {
 			f.byRouter[j.router.Name] = j.sched
 		}
-	}
-	if f.chunked {
-		if f.chunks == nil {
-			f.chunks = make([]routerChunks, len(f.net.Routers))
+		if old := f.shards[j.idx]; old != nil {
+			f.player.free = append(f.player.free, old.power, old.traffic)
+			old.power, old.traffic = nil, nil
 		}
-		delta := 0
-		for k, j := range jobs {
-			delta += st.chunks[k].retainedBytes() - f.chunks[j.idx].retainedBytes()
-			f.chunks[j.idx] = st.chunks[k]
-		}
-		metricFleetChunkBytes.Add(float64(delta))
-	} else {
-		f.shards = st.shards
+		f.shards[j.idx] = st.shards[k]
+		delta += st.chunks[k].retainedBytes() - f.chunks[j.idx].retainedBytes()
+		f.chunks[j.idx] = st.chunks[k]
 	}
+	metricFleetChunkBytes.Add(float64(delta))
 	f.ds = st.ds
 }
 

@@ -2,39 +2,32 @@ package ispnet
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"fantasticjoules/internal/psu"
 	"fantasticjoules/internal/telemetry"
 	"fantasticjoules/internal/timeseries"
 )
 
-// Chunk-retained fleet mode: the bounded-memory form of the incremental
-// Fleet used for hierarchical (generated) configs, where retaining every
-// router's live shard — three full-window float columns plus the replay
-// plan — would put the fleet-size × duration product back on the heap
-// that stream.go worked to get off it.
+// Fleet retention: what a Fleet keeps of each router between
+// Resimulates, and how the fold gets a clean router back. There are two
+// forms, and the chunked flag, set at NewFleet, selects one for the
+// fleet's lifetime; retain and restore below are the only places that
+// branch on it.
 //
-// Instead of live shards, the fleet retains each router's power and
-// traffic columns as the same delta-of-delta columnar chunks RunStream
-// spills (timeseries.AppendChunk), plus the two wall-power scalars and
-// the PSU snapshot the dataset assembly needs. Encoded timestamps cost
-// ≈1 byte/point on the regular SNMP grid and values keep their raw
-// Float64bits — which is what makes the mode exact: a Resimulate decodes
-// every clean router's chunks back into the fold (decode-on-splice) and
-// accumulates the identical addition sequence, in fleet order, that the
-// cold path's reduction performs. The golden and property tests pin
-// DiffDatasets-bit-identity to cold SimulateWithEvents at 1k and 10k.
+//   - Live shards (the calibrated 107-router build). Each router's played
+//     shard is kept whole: its power and traffic columns, its replay plan
+//     and its instrumented meter/SNMP/rate traces, which are part of the
+//     dataset. Keeping raw columns makes a clean router's fold an add.
+//   - Chunks (hierarchical fleets, which have no instrumented routers).
+//     At 10k+ routers live shards would put the fleet-size × duration
+//     product back on the heap, so each router keeps its power and traffic
+//     columns as the same delta-of-delta columnar chunks a streamed run
+//     spills (timeseries.AppendChunk), plus its wall stats and PSU
+//     snapshot. Values keep their raw Float64bits, so a clean router
+//     decodes back into exactly the columns it was played with.
 //
-// The replay itself runs the bounded producer/worker/consumer pipeline of
-// RunStream: at most workers+streamWindowSlack live shards exist at any
-// instant, their step buffers pooled, so peak heap is O(fleet metadata) +
-// O(window × steps) and steady-state heap is the encoded chunks.
-//
-// The mode is reserved for hierarchical fleets, which have no
-// instrumented (Autopower) routers: the calibrated 107-router build keeps
-// the live-shard path so its meter/SNMP/rate traces stay retained.
+// Either way the fold adds the clean router's columns in its fleet-order
+// turn, the same additions a cold run makes.
 
 var (
 	metricFleetChunkBytes = telemetry.Default().Gauge("ispnet_fleet_chunk_bytes",
@@ -59,173 +52,71 @@ type routerChunks struct {
 func (rc *routerChunks) retainedBytes() int { return len(rc.power) + len(rc.traffic) }
 
 // appendChunked encodes parallel columns as a sequence of
-// streamChunkPoints-sized chunks, appending to dst — the retention-side
-// twin of the RunStream spill.
+// streamChunkPoints-sized chunks, appending to dst: the chunk sequence a
+// streamed run spills, kept in one buffer.
 func appendChunked(dst []byte, ts []int64, vs []float64) []byte {
 	for i := 0; i < len(vs); i += streamChunkPoints {
-		j := i + streamChunkPoints
-		if j > len(vs) {
-			j = len(vs)
-		}
+		j := min(i+streamChunkPoints, len(vs))
 		dst = timeseries.AppendChunk(dst, ts[i:j], vs[i:j])
 	}
 	return dst
 }
 
-// decodeChunkedInto decodes an encoded column into scratch and adds its
-// values element-wise onto totals — the clean-router splice. The decoded
-// bits are exactly the encoded bits (AppendChunk stores raw Float64bits),
-// so the addition contributes the same sequence a live shard would.
-func decodeChunkedInto(totals []float64, data []byte, scratch *timeseries.Series) error {
-	scratch.Reset()
+// retain stages played job k's retention in st and reports whether it
+// keeps the shard's step columns: a live shard keeps them, the chunk form
+// encodes them and hands them back to the pipeline.
+func (f *Fleet) retain(st *stagedReplay, k int, sh *routerShard) bool {
+	if f.chunked {
+		st.chunks[k] = routerChunks{
+			power:   appendChunked(nil, f.grid.nanos, sh.power),
+			traffic: appendChunked(nil, f.grid.nanos, sh.traffic),
+			wall:    sh.stats,
+			psus:    sh.psus,
+		}
+		return false
+	}
+	st.shards[k] = sh
+	return true
+}
+
+// restore folds clean router i back in from its retention.
+func (f *Fleet) restore(fo *fold, i int) error {
+	if !f.chunked {
+		sh := f.shards[i]
+		addInto(fo.power, sh.power)
+		addInto(fo.traffic, sh.traffic)
+		fo.ds.addShard(sh)
+		return nil
+	}
+	metricFleetChunkSplices.Inc()
+	rc := &f.chunks[i]
+	if err := f.splice(fo.power, rc.power); err != nil {
+		return err
+	}
+	if err := f.splice(fo.traffic, rc.traffic); err != nil {
+		return err
+	}
+	fo.ds.addRouter(f.net.Routers[i], rc.wall, rc.psus)
+	return nil
+}
+
+// splice decodes one retained column into the fleet's scratch series and
+// adds it into total.
+func (f *Fleet) splice(total []float64, data []byte) error {
+	s := f.scratch
+	s.Reset()
 	for len(data) > 0 {
-		rest, err := timeseries.DecodeChunk(scratch, data)
+		rest, err := timeseries.DecodeChunk(s, data)
 		if err != nil {
 			return fmt.Errorf("ispnet: retained chunk: %w", err)
 		}
 		data = rest
 	}
-	if scratch.Len() != len(totals) {
-		return fmt.Errorf("ispnet: retained chunk decoded %d points, want %d", scratch.Len(), len(totals))
+	if s.Len() != len(total) {
+		return fmt.Errorf("ispnet: retained chunk decoded %d points, want %d", s.Len(), len(total))
 	}
-	for si := range totals {
-		totals[si] += scratch.Value(si)
-	}
-	return nil
-}
-
-// replayChunked is the chunk-retained form of Fleet.replay: play the
-// jobs through a bounded pipeline, fold their fresh columns into the step
-// totals in fleet order, encode their retention into fresh buffers, and
-// splice every other router in by decoding its retained chunks — never
-// holding more than the worker window of live shards. Like replay it
-// only stages: the retained chunks are not touched.
-func (f *Fleet) replayChunked(jobs []replayJob, described []Event) (*stagedReplay, error) {
-	n := f.net
-	workers := f.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	window := workers + streamWindowSlack
-
-	// Bounded pipeline over the jobs, exactly as RunStream admits the
-	// whole fleet: slots preserves fleet order and its buffer is the
-	// admission window.
-	pool := sync.Pool{New: func() any { return &streamBufs{} }}
-	slots := make(chan *streamSlot, window)
-	work := make(chan *streamSlot)
-	go func() {
-		for _, j := range jobs {
-			sh := n.newShard(j.router, nil, j.events, f.grid)
-			bufs := pool.Get().(*streamBufs)
-			sh.power = zeroedFloats(bufs.power, len(f.grid.nanos))
-			sh.traffic = zeroedFloats(bufs.traffic, len(f.grid.nanos))
-			sh.wall = bufs.wall[:0]
-			//jouleslint:ignore scratchsafety -- bounded handoff: the fold is the slot's only consumer and puts the buffers back before admitting another slot past the window
-			s := &streamSlot{sh: sh, bufs: bufs, done: make(chan struct{})}
-			slots <- s
-			work <- s
-		}
-		close(slots)
-		close(work)
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range work {
-				s.sh.err = s.sh.playInstrumented()
-				close(s.done)
-			}
-		}()
-	}
-
-	// The consumer walks the whole fleet in order: replayed routers are
-	// taken from the pipeline (which emits them in fleet order), the rest
-	// are decoded from their retention. Either way the totals accumulate
-	// router contributions in fleet order — the cold reduction's exact
-	// floating-point sequence.
-	steps := len(f.grid.nanos)
-	totalPower := make([]float64, steps)
-	totalTraffic := make([]float64, steps)
-	scratch := timeseries.NewWithCap("chunk-splice", steps)
-	staged := make([]routerChunks, len(jobs))
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	k := 0
-	for i := range n.Routers {
-		if k == len(jobs) || jobs[k].idx != i {
-			metricShardsReused.Inc()
-			metricFleetChunkSplices.Inc()
-			if firstErr == nil {
-				rc := &f.chunks[i]
-				if err := decodeChunkedInto(totalPower, rc.power, scratch); err != nil {
-					fail(err)
-				} else if err := decodeChunkedInto(totalTraffic, rc.traffic, scratch); err != nil {
-					fail(err)
-				}
-			}
-			continue
-		}
-		s, ok := <-slots
-		if !ok {
-			return nil, fmt.Errorf("ispnet: chunk replay pipeline ended before router %q", jobs[k].router.Name)
-		}
-		<-s.done
-		sh := s.sh
-		if sh.router != jobs[k].router {
-			fail(fmt.Errorf("ispnet: chunk replay order: got %q, want %q", sh.router.Name, jobs[k].router.Name))
-		}
-		if sh.err != nil {
-			fail(sh.err)
-		}
-		if firstErr == nil {
-			for si := range totalPower {
-				totalPower[si] += sh.power[si]
-				totalTraffic[si] += sh.traffic[si]
-			}
-			rc := &staged[k]
-			rc.power = appendChunked(nil, f.grid.nanos, sh.power)
-			rc.traffic = appendChunked(nil, f.grid.nanos, sh.traffic)
-			rc.wall = sh.stats
-			rc.psus = sh.psus
-		}
-		// Recycle the step buffers (wall may have grown under append).
-		s.bufs.power, s.bufs.traffic, s.bufs.wall = sh.power, sh.traffic, sh.wall
-		sh.power, sh.traffic, sh.wall = nil, nil, nil
-		pool.Put(s.bufs)
-		k++
-	}
-	wg.Wait()
-	metricShardsReplayed.Add(uint64(len(jobs)))
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	ds := newDataset(n, steps, f.capacity, described)
-	ds.TotalPower.AppendBlock(f.grid.nanos, totalPower)
-	ds.TotalTraffic.AppendBlock(f.grid.nanos, totalTraffic)
-	k = 0
-	for i, r := range n.Routers {
-		var rc *routerChunks
-		if k < len(jobs) && jobs[k].idx == i {
-			rc = &staged[k]
-			k++
-		} else {
-			rc = &f.chunks[i]
-		}
-		ds.addRouter(r, rc.wall, rc.psus)
-	}
-	return &stagedReplay{ds: ds, chunks: staged}, nil
+	return s.Blocks(0, func(_ []int64, vs []float64) error {
+		addInto(total, vs)
+		return nil
+	})
 }

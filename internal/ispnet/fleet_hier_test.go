@@ -395,3 +395,43 @@ func TestFleetEventsCopy(t *testing.T) {
 	}
 	datasetsIdentical(t, cold, ds)
 }
+
+// TestFleetResimulateFailureStopsEarly checks that a Resimulate whose
+// batch fails at apply on an early router stops replaying: every router
+// of a chunk-retained 1k fleet is dirty, the second one fails, and the
+// pipeline admits no router past its window after that failure. The
+// fleet keeps its last dataset.
+func TestFleetResimulateFailureStopsEarly(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		f, err := NewFleet(hierFleetCfg(1000, workers, 6*time.Hour, time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !f.ChunkRetained() {
+			t.Fatal("a 1k hierarchical fleet must be chunk-retained")
+		}
+		n := f.Network()
+		start := n.Config.Start
+		var batch []FleetEvent
+		for i, r := range n.Routers {
+			batch = append(batch, FleetEvent{At: start.Add(time.Hour), Router: r.Name, Op: OpScaleLoad, Factor: 1.5})
+			if i == 1 {
+				batch = append(batch, FleetEvent{At: start.Add(time.Hour), Router: r.Name, Op: OpAdminDown, Iface: "eth9999"})
+			}
+		}
+		if err := f.Perturb(batch...); err != nil {
+			t.Fatal(err)
+		}
+		prev := f.Dataset()
+		replayed0 := metricRouters.Value()
+		if _, err := f.Resimulate(); err == nil {
+			t.Fatal("Resimulate applied an admin-down of a missing interface")
+		}
+		if got, limit := metricRouters.Value()-replayed0, uint64(workers+streamWindowSlack+1); got > limit {
+			t.Fatalf("workers=%d: a failure on the second router still replayed %d routers, want ≤ %d", workers, got, limit)
+		}
+		if f.Dataset() != prev {
+			t.Fatal("failed Resimulate replaced the dataset")
+		}
+	}
+}

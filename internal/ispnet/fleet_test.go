@@ -347,3 +347,25 @@ func retentionOf(f *Fleet) any {
 	}
 	return out
 }
+
+// DirtyRouters returns the number of routers queued for replay by
+// perturbations since the last Resimulate. Only tests read it.
+func (f *Fleet) DirtyRouters() int {
+	dirty := make(map[string]bool)
+	for _, e := range f.pending {
+		dirty[e.Router] = true
+	}
+	return len(dirty)
+}
+
+// Events returns a sorted copy of the merged declarative schedule
+// (built-in plus every perturbation, pending ones included): the event
+// list the tests compare across a failed Resimulate.
+func (f *Fleet) Events() []FleetEvent {
+	out := make([]FleetEvent, 0, len(f.base)+len(f.extra)+len(f.pending))
+	out = append(out, f.base...)
+	out = append(out, f.extra...)
+	out = append(out, f.pending...)
+	sortFleetEvents(out)
+	return out
+}

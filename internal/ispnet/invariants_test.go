@@ -83,17 +83,19 @@ func TestPlanNoisePrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := hn.stepGrid()
-	for _, r := range hn.Routers[:8] {
-		sh := hn.newShard(r, nil, nil, grid)
-		if err := sh.play(); err != nil {
-			t.Fatal(err)
-		}
+	jobs, err := hn.jobs(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&player{workers: 1}).play(hn, hn.stepGrid(), jobs[:8], func(_ int, sh *routerShard) (bool, error) {
 		for _, p := range sh.plan {
 			if p.noise != 0 {
-				t.Fatalf("hierarchical %s/%s stores a noise prefix", r.Name, p.itf.Name)
+				t.Fatalf("hierarchical %s/%s stores a noise prefix", sh.router.Name, p.itf.Name)
 			}
 		}
+		return false, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -53,14 +53,14 @@ type Config struct {
 	// (hierarchy.go) with subscriber-synthesized demand; 8 is the minimum,
 	// 100k the intended ceiling.
 	Routers int
-	// Workers bounds how many router shards Run simulates concurrently.
+	// Workers bounds how many router shards a replay plays concurrently.
 	// Per-router state is independent (each router owns its device, its
 	// meter, and its events), so the fleet replay is embarrassingly
-	// parallel; only the network-total reduction is shared, and Run
-	// performs it in fixed fleet order after the shards join. 0 (the
-	// default) uses runtime.GOMAXPROCS(0); 1 plays the shards one after
-	// another on the calling goroutine (the serial reference path). Every
-	// worker count produces a bit-identical Dataset for the same seed.
+	// parallel; only the network totals are shared, and the fold adds
+	// the shards into them in fixed fleet order. 0 (the default) uses
+	// runtime.GOMAXPROCS(0); 1 plays the shards one after another on the
+	// calling goroutine (the serial reference path). Every worker count
+	// produces a bit-identical Dataset for the same seed.
 	Workers int
 }
 

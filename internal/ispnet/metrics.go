@@ -14,7 +14,7 @@ import (
 // Workers-1-vs-8 determinism test runs with these permanently enabled).
 var (
 	metricRuns = telemetry.Default().Counter("ispnet_runs_total",
-		"fleet replays started (Network.Run calls)")
+		"full-fleet replays started (cold and streamed runs, NewFleet)")
 	metricShardSeconds = telemetry.Default().Histogram("ispnet_shard_replay_seconds",
 		"wall-clock duration of one router shard's full-window replay", nil)
 	metricRouters = telemetry.Default().Counter("ispnet_routers_replayed_total",

@@ -15,16 +15,17 @@ import (
 	"fantasticjoules/internal/units"
 )
 
-// routerShard is the unit of parallelism in Run: one router's complete
-// timeline — its filtered event queue, its device advances, its wall
-// samples and, for instrumented routers, its Autopower/SNMP/rate traces.
+// routerShard is the unit of parallelism of the replay pipeline: one
+// router's complete timeline — its filtered event queue, its device
+// advances, its wall samples and, for instrumented routers, its
+// Autopower/SNMP/rate traces.
 //
 // Everything a shard touches while play runs is owned by exactly one
 // worker goroutine (goroutine confinement): the *device.Router and
 // *meter.Meter belong to this router alone, LoadAt is pure, and the events
 // in the queue mutate only this router. The hot path therefore contends on
-// no locks. The result fields are read by the merge step only after the
-// worker pool has joined.
+// no locks. The result fields are read by the consumer only after the
+// shard's done channel closes.
 type routerShard struct {
 	net    *Network
 	router *Router
@@ -33,8 +34,8 @@ type routerShard struct {
 	// grid is the window's shared, read-only step grid.
 	grid *stepGrid
 	// snapAt is the mid-window instant of the one-time PSU sensor export.
-	// The snapshot is taken by the shard itself (not by the dataset
-	// assembly) because EnvSnapshot draws from the router's private rng:
+	// The snapshot is taken by the shard itself (not by the fold)
+	// because EnvSnapshot draws from the router's private rng:
 	// capturing it at a fixed point in the shard's replay keeps the rng
 	// stream — and therefore every later draw — identical whether the
 	// shard ran in a cold Simulate or an incremental Fleet replay.
@@ -75,6 +76,9 @@ type routerShard struct {
 	eventsApplied int
 
 	err error
+	// done closes when a pipeline worker has played the shard (nil when
+	// the shard plays inline).
+	done chan struct{}
 }
 
 // ifacePlan is one interface's precomputed replay state; see
@@ -123,31 +127,21 @@ func (sh *routerShard) buildPlan() error {
 	return nil
 }
 
-// ensureBuffers allocates any step buffers the shard arrived without.
-// The streaming path (stream.go) pre-attaches pooled, zeroed buffers so
-// a bounded working set cycles through the whole fleet; a cold shard
-// allocates its own here, once per window.
-func (sh *routerShard) ensureBuffers(cfg Config) {
-	r := sh.router
+// allocTraces allocates a metered shard's instrumented traces, once per
+// window; the pipeline attaches the step buffers.
+func (sh *routerShard) allocTraces() {
+	if sh.meter == nil {
+		return
+	}
+	cfg, r := sh.net.Config, sh.router
 	steps := len(sh.grid.times)
-	if sh.power == nil {
-		sh.power = make([]float64, steps)
+	subSteps := int(cfg.SNMPStep / cfg.AutopowerStep)
+	if cfg.SNMPStep%cfg.AutopowerStep != 0 {
+		subSteps++
 	}
-	if sh.traffic == nil {
-		sh.traffic = make([]float64, steps)
-	}
-	if sh.wall == nil {
-		sh.wall = make([]float64, 0, steps)
-	}
-	if sh.meter != nil {
-		subSteps := int(cfg.SNMPStep / cfg.AutopowerStep)
-		if cfg.SNMPStep%cfg.AutopowerStep != 0 {
-			subSteps++
-		}
-		sh.autopower = timeseries.NewWithCap(r.Name+".autopower", steps*subSteps)
-		sh.rates = make(map[string]*timeseries.Series, len(r.Interfaces))
-		sh.profiles = make(map[string]model.ProfileKey, len(r.Interfaces))
-	}
+	sh.autopower = timeseries.NewWithCap(r.Name+".autopower", steps*subSteps)
+	sh.rates = make(map[string]*timeseries.Series, len(r.Interfaces))
+	sh.profiles = make(map[string]model.ProfileKey, len(r.Interfaces))
 }
 
 // play replays the router's full study window. It is the sharded port of
@@ -159,8 +153,8 @@ func (sh *routerShard) ensureBuffers(cfg Config) {
 func (sh *routerShard) play() error {
 	n, r := sh.net, sh.router
 	cfg := n.Config
-	//jouleslint:ignore hotpath -- cold start: allocates each shard's working set once, before its window replays
-	sh.ensureBuffers(cfg)
+	//jouleslint:ignore hotpath -- cold start: allocates a metered shard's traces once, before its window replays
+	sh.allocTraces()
 	if err := sh.buildPlan(); err != nil {
 		return err
 	}
@@ -293,95 +287,135 @@ func (sh *routerShard) play() error {
 	return nil
 }
 
-// playShards drives every shard to completion. workers ≤ 0 selects
-// runtime.GOMAXPROCS(0); 1 plays the shards sequentially on the calling
-// goroutine with zero pool overhead. The produced data is identical for
-// every worker count: shards share no mutable state and the caller reduces
-// their results in fleet order.
-//
-// A shard's wall samples are scratch once play has reduced them to its
-// stats, so each worker lends one wall buffer to every shard it plays
-// instead of each shard allocating its own. wall, when not nil, is the
-// serial path's buffer, kept across calls by its owner (a Fleet).
-func playShards(shards []*routerShard, workers int, wall *[]float64) error {
+// streamWindowSlack is how many shards beyond the worker count the
+// pipeline admits: finished shards waiting for their in-order fold turn.
+const streamWindowSlack = 2
+
+// player is the one replay pipeline. It plays a fleet-ordered list of
+// jobs and hands each played shard to a consumer on the calling
+// goroutine, strictly in job order; cold, streamed and Fleet runs differ
+// only in that consumer. At most workers+streamWindowSlack shards are
+// admitted at once, each drawing its step buffers (power, traffic, wall)
+// from the player's free list, so the live step buffers of a run are
+// bounded by the window, not by the fleet. A Fleet keeps its player, and
+// with it the free list, across Resimulates.
+type player struct {
+	// workers bounds the concurrent plays: ≤ 0 selects GOMAXPROCS, and 1
+	// plays every shard inline on the calling goroutine.
+	workers int
+	// free holds the step buffers no shard or retention uses, each with
+	// room for every step of the player's grid (a player serves one grid).
+	free [][]float64
+}
+
+// buffer returns a zeroed step buffer of n points, from the free list
+// when it has one: a shard relies on its undeployed steps reading 0.
+func (p *player) buffer(n int) []float64 {
+	k := len(p.free) - 1
+	if k < 0 {
+		return make([]float64, n)
+	}
+	buf := p.free[k][:n]
+	p.free = p.free[:k]
+	clear(buf)
+	return buf
+}
+
+// play plays the jobs and hands each played shard to consume, in job
+// order, on the calling goroutine. consume reports whether it keeps the
+// shard's power and traffic columns; every step buffer it does not keep
+// returns to the free list when it returns. After the first error — a
+// failing shard or a failing consume — play admits no further shard,
+// waits for the admitted ones and returns that error, the first in job
+// order. The produced data is the same for every worker count: shards
+// share no mutable state and consume sees them in one fixed order.
+func (p *player) play(n *Network, grid *stepGrid, jobs []replayJob, consume func(k int, sh *routerShard) (bool, error)) error {
+	steps := len(grid.nanos)
+	admit := func(j replayJob) *routerShard {
+		return &routerShard{
+			net:     n,
+			router:  j.router,
+			meter:   j.meter,
+			events:  j.events,
+			grid:    grid,
+			snapAt:  n.Config.Start.Add(n.Config.Duration / 2),
+			power:   p.buffer(steps),
+			traffic: p.buffer(steps),
+			wall:    p.buffer(steps)[:0],
+		}
+	}
+	finish := func(k int, sh *routerShard) error {
+		keep, err := false, sh.err
+		if err == nil {
+			keep, err = consume(k, sh)
+		}
+		// The wall samples are scratch once play has reduced them.
+		p.free = append(p.free, sh.wall)
+		if !keep {
+			p.free = append(p.free, sh.power, sh.traffic)
+			sh.power, sh.traffic = nil, nil
+		}
+		sh.wall, sh.done = nil, nil
+		return err
+	}
+
+	workers := p.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(shards) {
-		workers = len(shards)
+	if workers > len(jobs) {
+		workers = len(jobs)
 	}
 	if workers <= 1 {
-		var buf []float64
-		if wall != nil {
-			buf = *wall
-		}
-		for _, sh := range shards {
-			var err error
-			if buf, err = sh.playWith(buf); err != nil {
+		for k, j := range jobs {
+			sh := admit(j)
+			sh.err = sh.playInstrumented()
+			if err := finish(k, sh); err != nil {
 				return err
 			}
-		}
-		if wall != nil {
-			*wall = buf
 		}
 		return nil
 	}
 
+	// slots holds the admitted shards in job order. Both channels hold a
+	// whole window, so admitting never blocks the calling goroutine.
+	window := workers + streamWindowSlack
+	slots := make(chan *routerShard, window)
+	work := make(chan *routerShard, window)
 	var wg sync.WaitGroup
-	work := make(chan *routerShard)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []float64
 			for sh := range work {
-				buf, sh.err = sh.playWith(buf)
+				sh.err = sh.playInstrumented()
+				close(sh.done)
 			}
 		}()
 	}
-	for _, sh := range shards {
+	admitted := 0
+	admitNext := func() {
+		sh := admit(jobs[admitted])
+		sh.done = make(chan struct{})
+		admitted++
+		slots <- sh
 		work <- sh
+	}
+	for admitted < min(window, len(jobs)) {
+		admitNext()
+	}
+	var firstErr error
+	for k := 0; k < admitted; k++ {
+		sh := <-slots
+		<-sh.done
+		if firstErr != nil {
+			continue
+		}
+		if firstErr = finish(k, sh); firstErr == nil && admitted < len(jobs) {
+			admitNext()
+		}
 	}
 	close(work)
 	wg.Wait()
-
-	// Report the first failure in fleet order, so errors — like the data —
-	// do not depend on goroutine scheduling.
-	for _, sh := range shards {
-		if sh.err != nil {
-			return sh.err
-		}
-	}
-	return nil
-}
-
-// playWith plays the shard with buf lent as its wall buffer (nil: play
-// allocates one) and hands the buffer back, grown as needed.
-func (sh *routerShard) playWith(buf []float64) ([]float64, error) {
-	sh.wall = buf[:0]
-	err := sh.playInstrumented()
-	buf, sh.wall = sh.wall, nil
-	return buf, err
-}
-
-// partitionEvents splits a time-sorted schedule into per-router queues.
-// Append order is preserved, so each router sees its events exactly as the
-// global schedule ordered them — including events due at the same step.
-// A first pass counts events per router so the map is sized to the number
-// of routers with events (not the event count) and each queue is allocated
-// exactly once at its final length.
-func partitionEvents(evs []scheduledEvent) map[string][]scheduledEvent {
-	counts := make(map[string]int)
-	for _, e := range evs {
-		counts[e.router]++
-	}
-	out := make(map[string][]scheduledEvent, len(counts))
-	for _, e := range evs {
-		q, ok := out[e.router]
-		if !ok {
-			q = make([]scheduledEvent, 0, counts[e.router])
-		}
-		out[e.router] = append(q, e)
-	}
-	return out
+	return firstErr
 }

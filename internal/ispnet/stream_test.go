@@ -252,12 +252,27 @@ func (p *peakSink) WriteChunk(router, series string, chunk []byte) error {
 }
 
 // TestStreamSinkError checks a failing sink aborts the run cleanly (no
-// hang, no partial success).
+// hang, no partial success), and that it aborts early: once the first
+// chunk fails, the pipeline admits no further router, so a 1k-router
+// fleet replays at most the admitted window plus the failing router.
 func TestStreamSinkError(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Duration = 12 * time.Hour
 	if _, err := SimulateStream(cfg, failSink{}); err == nil {
 		t.Fatal("want the sink error to surface")
+	}
+	for _, workers := range []int{1, 4} {
+		n, err := Build(hierFleetCfg(1000, workers, 6*time.Hour, time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed0 := metricRouters.Value()
+		if _, err := n.RunStream(failSink{}); err == nil {
+			t.Fatal("want the sink error to surface")
+		}
+		if got, limit := metricRouters.Value()-replayed0, uint64(workers+streamWindowSlack+1); got > limit {
+			t.Fatalf("workers=%d: a sink failing on the first chunk still replayed %d routers, want ≤ %d", workers, got, limit)
+		}
 	}
 }
 

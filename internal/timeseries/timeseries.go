@@ -75,6 +75,25 @@ func NewWithCap(name string, n int) *Series {
 	}
 }
 
+// FromColumns returns a series that adopts parallel timestamp
+// (unix-nanosecond) and value columns without copying them: the caller
+// hands both slices over and must not use them afterwards. The columns
+// must be the same length. Their time order is checked once, here; an
+// out-of-order column is fixed up lazily, as for Append.
+func FromColumns(name string, ts []int64, vs []float64) *Series {
+	if len(ts) != len(vs) {
+		panic(fmt.Sprintf("timeseries: FromColumns column lengths %d vs %d", len(ts), len(vs)))
+	}
+	s := &Series{Name: name, ts: ts, vs: vs, sorted: true}
+	for i := 1; i < len(ts); i++ {
+		if ts[i] < ts[i-1] {
+			s.sorted = false
+			break
+		}
+	}
+	return s
+}
+
 // FromPoints builds a series from a point slice; the points are copied and
 // sorted by time.
 func FromPoints(name string, pts []Point) *Series {

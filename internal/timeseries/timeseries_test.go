@@ -428,3 +428,36 @@ func TestQuantile(t *testing.T) {
 		t.Error("Quantile(0.5) != Median()")
 	}
 }
+
+// TestFromColumns checks the adopting constructor: it shares the caller's
+// columns rather than copying them, reads back exactly what it was given,
+// fixes an out-of-order column up lazily, and rejects mismatched lengths.
+func TestFromColumns(t *testing.T) {
+	ts := []int64{10, 20, 30}
+	vs := []float64{1, 2, 3}
+	s := FromColumns("adopted", ts, vs)
+	if s.Len() != 3 || s.NanoAt(2) != 30 || s.Value(1) != 2 {
+		t.Fatalf("adopted series reads %v", s.Points())
+	}
+	vs[0] = 7
+	if s.Value(0) != 7 {
+		t.Fatal("FromColumns copied the value column instead of adopting it")
+	}
+
+	u := FromColumns("unsorted", []int64{30, 10, 20}, []float64{3, 1, 2})
+	for i, want := range []float64{1, 2, 3} {
+		if u.Value(i) != want || u.NanoAt(i) != int64(10*(i+1)) {
+			t.Fatalf("unsorted columns not fixed up: point %d = %v", i, u.At(i))
+		}
+	}
+
+	if FromColumns("empty", nil, nil).Len() != 0 {
+		t.Fatal("empty columns must give an empty series")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched column lengths must panic")
+		}
+	}()
+	FromColumns("bad", []int64{1, 2}, []float64{1})
+}
