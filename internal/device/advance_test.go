@@ -25,7 +25,8 @@ func advanceAllPorts(r *Router, dt time.Duration) {
 		alpha := 1 - math.Exp(-sec/tau)
 		r.internalTemp += (target - r.internalTemp) * alpha
 	}
-	for _, itf := range r.interfaces {
+	for i := range r.interfaces {
+		itf := &r.interfaces[i]
 		if !itf.OperUp() {
 			continue
 		}

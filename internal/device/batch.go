@@ -17,19 +17,17 @@ import (
 // lock acquisition.
 
 // Handle identifies one interface of one router by its dense port index.
-// Resolve it once with Router.Handle; it stays valid for the router's
-// lifetime (the physical port set is fixed at New — config events change
-// what is plugged into a port, never the port itself).
+// Resolve it once with Router.Handle; it stays valid until the router is
+// Reset (the physical port set is fixed at New or Reset — config events
+// change what is plugged into a port, never the port itself).
 type Handle int
 
 // Handle resolves an interface name to its handle.
 func (r *Router) Handle(ifName string) (Handle, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, itf := range r.interfaces {
-		if itf.name == ifName {
-			return Handle(i), nil
-		}
+	if i, ok := r.ports.index[ifName]; ok {
+		return Handle(i), nil
 	}
 	return -1, fmt.Errorf("device: %s has no interface %q", r.name, ifName)
 }
@@ -65,7 +63,7 @@ func (r *Router) SetTrafficAt(h Handle, bits units.BitRate, packets units.Packet
 	if !r.valid(h) {
 		panic(fmt.Sprintf("device: %s has no interface handle %d", r.name, h))
 	}
-	return r.setTrafficLocked(r.interfaces[h], bits, packets)
+	return r.setTrafficLocked(&r.interfaces[h], bits, packets)
 }
 
 // InterfaceStateAt is InterfaceState addressed by handle: no map lookup
@@ -76,7 +74,7 @@ func (r *Router) InterfaceStateAt(h Handle) (present, adminUp, operUp bool, key 
 	if !r.valid(h) {
 		panic(fmt.Sprintf("device: %s has no interface handle %d", r.name, h))
 	}
-	itf := r.interfaces[h]
+	itf := &r.interfaces[h]
 	return itf.transceiverPresent, itf.adminUp, itf.OperUp(), itf.ProfileKey()
 }
 
@@ -111,7 +109,7 @@ func (s Step) SetTraffic(h Handle, bits units.BitRate, packets units.PacketRate)
 	if !s.r.valid(h) {
 		panic(fmt.Sprintf("device: %s has no interface handle %d", s.r.name, h))
 	}
-	return s.r.setTrafficLocked(s.r.interfaces[h], bits, packets)
+	return s.r.setTrafficLocked(&s.r.interfaces[h], bits, packets)
 }
 
 // InterfaceState returns the present/admin/oper state of the interface
@@ -122,7 +120,7 @@ func (s Step) InterfaceState(h Handle) (present, adminUp, operUp bool) {
 	if !s.r.valid(h) {
 		panic(fmt.Sprintf("device: %s has no interface handle %d", s.r.name, h))
 	}
-	itf := s.r.interfaces[h]
+	itf := &s.r.interfaces[h]
 	return itf.transceiverPresent, itf.adminUp, itf.OperUp()
 }
 

@@ -84,15 +84,16 @@ type Counters struct {
 	InPackets, OutPackets uint64
 }
 
-// PSUState is one installed power supply: the electrical unit plus its
+// PSUState is one installed power supply: its rated capacity, its
 // per-unit efficiency offset (manufacturing/aging variation, §9.3.1) and
 // the last input power it delivered, for the sensor mocks.
 type PSUState struct {
-	unit   *psu.Unit
-	offset float64 // added to the unit's curve
-	// curve is the unit's efficiency curve shifted by offset, materialized
-	// once at construction: Offset allocates a fresh point slice, and the
-	// wall-power path evaluates the curve for every PSU at every sample.
+	capacity units.Power
+	offset   float64 // added to the model's curve
+	// curve is the model's efficiency curve shifted by offset, materialized
+	// once at Reset (into the previous curve's storage on a recycled
+	// device): the wall-power path evaluates the curve for every PSU at
+	// every sample.
 	curve  psu.Curve
 	online bool
 
@@ -105,7 +106,7 @@ type PSUState struct {
 }
 
 // Capacity returns the PSU's rated capacity.
-func (p *PSUState) Capacity() units.Power { return p.unit.Capacity() }
+func (p *PSUState) Capacity() units.Power { return p.capacity }
 
 // Online reports whether the PSU participates in load sharing.
 func (p *PSUState) Online() bool { return p.online }
@@ -114,18 +115,21 @@ func (p *PSUState) inputFor(out units.Power) units.Power {
 	if out <= 0 {
 		return 0
 	}
-	load := out.Watts() / p.unit.Capacity().Watts()
+	load := out.Watts() / p.capacity.Watts()
 	return units.Power(out.Watts() / p.curve.Efficiency(load))
 }
 
-// Router is a simulated fixed-chassis router. Create instances with New;
-// all methods are safe for concurrent use (one mutex guards all state).
+// Router is a simulated fixed-chassis router. Create instances with New,
+// or recycle one with Reset; all methods are safe for concurrent use (one
+// mutex guards all state).
 //
 // Concurrency audit for the sharded fleet simulation: a Router carries its
-// own rand source (seeded at New) and clock, and shares nothing with other
-// Router instances, so each router can be confined to one shard goroutine
-// and replayed independently. On that hot path the mutex is uncontended —
-// the per-router lock exists for callers that do share a device across
+// own rand source (seeded at New or Reset) and clock, and shares no
+// mutable state with other Router instances — the port name table it
+// shares with every device of its port count is read-only — so each
+// router can be confined to one shard goroutine and replayed
+// independently. On that hot path the mutex is uncontended — the
+// per-router lock exists for callers that do share a device across
 // goroutines (e.g. an SNMP agent polling while a meter samples), not for
 // the simulation itself.
 type Router struct {
@@ -142,9 +146,11 @@ type Router struct {
 	internalTemp float64
 	fanBoost     units.Power
 
-	interfaces []*Interface
-	byName     map[string]*Interface
-	psus       []*PSUState
+	// interfaces holds the ports by index, in one backing array; ports is
+	// the shared name table they were named from.
+	interfaces []Interface
+	ports      *portTable
+	psus       []PSUState
 	linecards  []LinecardType
 
 	// Static-power cache: the configuration-dependent part of dcLoadLocked —
@@ -164,47 +170,113 @@ type Router struct {
 
 // New creates a router of the given hardware spec. The seed drives all of
 // the router's stochastic behaviour (sensor noise, per-PSU variation), so
-// equal seeds give bit-identical simulations.
+// equal seeds give bit-identical simulations. New is Reset on a zero
+// Router.
 func New(spec ModelSpec, name string, seed int64) (*Router, error) {
+	r := new(Router)
+	if err := r.Reset(spec, name, seed); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// deviceEpoch is the simulation clock of a fresh router.
+var deviceEpoch = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
+
+// Reset turns r into a fresh router of the given spec, name and seed:
+// afterwards r is deeply equal to New(spec, name, seed), rng stream
+// included, whatever r simulated before. It reuses r's port and PSU
+// storage and reseeds its rand source in place, so a replay that plays
+// many routers one after another can recycle one device instead of
+// allocating one per router. On error r is unchanged.
+func (r *Router) Reset(spec ModelSpec, name string, seed int64) error {
 	if err := spec.validate(); err != nil {
-		return nil, fmt.Errorf("device: %w", err)
+		return fmt.Errorf("device: %w", err)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	r := &Router{
-		name:         name,
-		spec:         spec,
-		rng:          rng,
-		osVersion:    spec.InitialOSVersion,
-		temperature:  25,
-		internalTemp: 25,
-		byName:       make(map[string]*Interface),
-		clock:        time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC),
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(seed))
+	} else {
+		// Seed restarts the stream exactly where NewSource(seed) starts it.
+		r.rng.Seed(seed)
 	}
-	for i := 0; i < spec.NumPorts; i++ {
-		itf := &Interface{
-			name: fmt.Sprintf("eth%d", i),
-			port: spec.PortType,
-		}
-		r.interfaces = append(r.interfaces, itf)
-		r.byName[itf.name] = itf
+	r.name = name
+	r.spec = spec
+	r.osVersion = spec.InitialOSVersion
+	r.temperature = 25
+	r.internalTemp = 25
+	r.fanBoost = 0
+	r.ports = portsFor(spec.NumPorts)
+	// Drop the cached oper-up pointers, so a port array replaced below is
+	// not kept alive by them.
+	clear(r.trafficIfs[:cap(r.trafficIfs)])
+	r.interfaces = resize(r.interfaces, spec.NumPorts)
+	for i := range r.interfaces {
+		r.interfaces[i] = Interface{name: r.ports.names[i], port: spec.PortType}
 	}
-	for i := 0; i < spec.PSUCount; i++ {
-		unit, err := psu.NewUnit(spec.PSUCapacity, spec.PSUCurve)
-		if err != nil {
-			return nil, fmt.Errorf("device: psu %d: %w", i, err)
-		}
+	if r.trafficIfs == nil {
+		r.trafficIfs = make([]*Interface, 0, spec.NumPorts)
+	}
+	r.trafficIfs = r.trafficIfs[:0]
+	r.psus = resize(r.psus, spec.PSUCount)
+	for i := range r.psus {
+		p := &r.psus[i]
 		// Model-level efficiency bias plus per-unit variation: the paper
 		// observes same-model PSUs spanning a wide efficiency range
 		// (§9.3.1, Fig. 6d) and whole models faring poorly (Fig. 6c).
-		off := spec.PSUEfficiencyBias + rng.NormFloat64()*spec.PSUEfficiencySpread
-		r.psus = append(r.psus, &PSUState{
-			unit:   unit,
-			offset: off,
-			curve:  unit.Curve().Offset(off),
-			online: true,
-		})
+		off := spec.PSUEfficiencyBias + r.rng.NormFloat64()*spec.PSUEfficiencySpread
+		*p = PSUState{
+			capacity: spec.PSUCapacity,
+			offset:   off,
+			curve:    spec.PSUCurve.OffsetInto(p.curve, off),
+			online:   true,
+		}
 	}
-	return r, nil
+	r.linecards = nil
+	r.staticDC = 0
+	r.staticOK = false
+	r.clock = deviceEpoch
+	return nil
+}
+
+// resize returns s with length n, reusing its backing array when it has
+// room.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// portTable is the read-only port naming of every device with a given
+// port count: the names in port order and the name → port index.
+type portTable struct {
+	names []string
+	index map[string]int
+}
+
+var (
+	portTablesMu sync.Mutex
+	portTables   = map[int]*portTable{}
+)
+
+// portsFor returns the shared port table for n ports, building it on
+// first use. It is a memo, not shared state: a table depends on n alone
+// and is never modified once built, so no caller can observe another.
+func portsFor(n int) *portTable {
+	portTablesMu.Lock()
+	defer portTablesMu.Unlock()
+	if t, ok := portTables[n]; ok {
+		return t
+	}
+	t := &portTable{names: make([]string, max(n, 0)), index: make(map[string]int, max(n, 0))}
+	for i := range t.names {
+		t.names[i] = fmt.Sprintf("eth%d", i)
+		t.index[t.names[i]] = i
+	}
+	portTables[n] = t
+	return t
 }
 
 // Name returns the router's deployment name.
@@ -227,19 +299,15 @@ func (r *Router) Now() time.Time {
 func (r *Router) InterfaceNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, len(r.interfaces))
-	for i, itf := range r.interfaces {
-		out[i] = itf.name
-	}
-	return out
+	return append([]string(nil), r.ports.names...)
 }
 
 func (r *Router) iface(name string) (*Interface, error) {
-	itf, ok := r.byName[name]
+	i, ok := r.ports.index[name]
 	if !ok {
 		return nil, fmt.Errorf("device: %s has no interface %q", r.name, name)
 	}
-	return itf, nil
+	return &r.interfaces[i], nil
 }
 
 // PlugTransceiver inserts a transceiver module into the named port. The
@@ -252,9 +320,8 @@ func (r *Router) PlugTransceiver(ifName string, trx model.TransceiverType, speed
 	if err != nil {
 		return err
 	}
-	key := model.ProfileKey{Port: itf.port, Transceiver: trx, Speed: speed}
-	if _, ok := r.spec.Truth[key]; !ok {
-		return fmt.Errorf("device: %s does not support %s", r.spec.Name, key)
+	if err := r.spec.Supports(model.ProfileKey{Port: itf.port, Transceiver: trx, Speed: speed}); err != nil {
+		return err
 	}
 	itf.transceiver = trx
 	itf.speed = speed
@@ -414,8 +481,8 @@ func (r *Router) SetPSUOnline(index int, online bool) error {
 	}
 	if !online {
 		live := 0
-		for _, p := range r.psus {
-			if p.online {
+		for i := range r.psus {
+			if r.psus[i].online {
 				live++
 			}
 		}
@@ -451,7 +518,8 @@ func (r *Router) rebuildStaticLocked() {
 	p += s.ControlPlanePower
 	p += r.linecardLoad()
 	r.trafficIfs = r.trafficIfs[:0]
-	for _, itf := range r.interfaces {
+	for i := range r.interfaces {
+		itf := &r.interfaces[i]
 		itf.truthKnown = false
 		if itf.transceiverPresent || itf.adminUp {
 			itf.truth, itf.truthKnown = s.Truth[itf.ProfileKey()]
@@ -527,8 +595,8 @@ func (r *Router) wallPowerLocked() units.Power {
 		dc = 0
 	}
 	online := 0
-	for _, p := range r.psus {
-		if p.online {
+	for i := range r.psus {
+		if r.psus[i].online {
 			online++
 		}
 	}
@@ -537,7 +605,8 @@ func (r *Router) wallPowerLocked() units.Power {
 	}
 	share := units.Power(dc.Watts() / float64(online))
 	var wall units.Power
-	for _, p := range r.psus {
+	for i := range r.psus {
+		p := &r.psus[i]
 		if !p.online {
 			p.lastIn, p.lastOut = 0, 0
 			continue
@@ -595,7 +664,8 @@ func (r *Router) Inventory() []InventoryEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []InventoryEntry
-	for _, itf := range r.interfaces {
+	for i := range r.interfaces {
+		itf := &r.interfaces[i]
 		if !itf.transceiverPresent {
 			continue
 		}

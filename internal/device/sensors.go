@@ -30,7 +30,7 @@ func (r *Router) ReportedPSUPower(index int) (units.Power, error) {
 		return 0, ErrNoPowerSensor
 	}
 	r.wallPowerLocked() // refresh lastIn/lastOut
-	p := r.psus[index]
+	p := &r.psus[index]
 	switch r.spec.PSUSensor {
 	case SensorAccurate:
 		return p.lastIn + units.Power(r.rng.NormFloat64()*0.5), nil
@@ -72,7 +72,7 @@ func (r *Router) PowerCycle(index int) error {
 	if index < 0 || index >= len(r.psus) {
 		return fmt.Errorf("device: %s has no PSU %d", r.name, index)
 	}
-	p := r.psus[index]
+	p := &r.psus[index]
 	if r.spec.PSUSensor == SensorPseudoConstant {
 		r.wallPowerLocked()
 		// Re-baseline with a sensor-calibration shift of a few watts.
@@ -94,9 +94,10 @@ func (r *Router) EnvSnapshot() []psu.Snapshot {
 	defer r.mu.Unlock()
 	r.wallPowerLocked()
 	out := make([]psu.Snapshot, 0, len(r.psus))
-	for _, p := range r.psus {
+	for i := range r.psus {
+		p := &r.psus[i]
 		if !p.online {
-			out = append(out, psu.Snapshot{Capacity: p.unit.Capacity()})
+			out = append(out, psu.Snapshot{Capacity: p.capacity})
 			continue
 		}
 		noiseIn := 1 + r.rng.NormFloat64()*0.015
@@ -104,7 +105,7 @@ func (r *Router) EnvSnapshot() []psu.Snapshot {
 		out = append(out, psu.Snapshot{
 			Pin:      units.Power(p.lastIn.Watts() * noiseIn),
 			Pout:     units.Power(p.lastOut.Watts() * noiseOut),
-			Capacity: p.unit.Capacity(),
+			Capacity: p.capacity,
 		})
 	}
 	return out

@@ -133,6 +133,22 @@ func (s ModelSpec) validate() error {
 	return errors.Join(errs...)
 }
 
+// Supports reports, as an error, whether the model can carry the given
+// port/transceiver/speed profile: PlugTransceiver refuses a profile the
+// hidden truth does not know, and a deployment planned from the spec
+// alone must refuse the same ones.
+func (s ModelSpec) Supports(key model.ProfileKey) error {
+	if _, ok := s.Truth[key]; !ok {
+		return fmt.Errorf("device: %s does not support %s", s.Name, key)
+	}
+	return nil
+}
+
+// PortNames returns the model's interface names in port order — the names
+// every device built from the spec carries. The slice is shared by every
+// spec with the same port count and must not be modified.
+func (s ModelSpec) PortNames() []string { return portsFor(s.NumPorts).names }
+
 // portOnlyTruth returns a profile whose PPort applies when a bare port (no
 // transceiver) is admin-up: the first truth profile matching the port type.
 func (s ModelSpec) portOnlyTruth(port model.PortType) (model.InterfaceProfile, bool) {

@@ -47,7 +47,7 @@ func (s *Suite) baselinesUncached() ([]BaselineRow, error) {
 	}
 	var rows []BaselineRow
 	for _, r := range ds.Network.AutopowerRouters() {
-		spec, err := device.Spec(r.Device.Model())
+		spec, err := device.Spec(r.Model)
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +81,7 @@ func (s *Suite) baselinesUncached() ([]BaselineRow, error) {
 			basePred.Append(total.At(i).T, baseline.PredictPower(units.BitRate(total.Value(i))).Watts())
 		}
 
-		labPred, err := s.prediction(ds, r.Name, r.Device.Model())
+		labPred, err := s.prediction(ds, r.Name, r.Model)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func (s *Suite) baselinesUncached() ([]BaselineRow, error) {
 		}
 		rows = append(rows, BaselineRow{
 			Router:       r.Name,
-			Model:        r.Device.Model(),
+			Model:        r.Model,
 			LabModelMAE:  labMAE,
 			BaselineMAE:  baseMAE,
 			BaselineBias: units.Power(diff.Median()),

@@ -53,7 +53,7 @@ func (s *Suite) Table1() ([]datasheet.AccuracyRow, error) {
 		if !ok {
 			return nil, fmt.Errorf("table1: unknown router %s", name)
 		}
-		perModel[r.Device.Model()] = append(perModel[r.Device.Model()], med.Watts())
+		perModel[r.Model] = append(perModel[r.Model], med.Watts())
 	}
 	measured := map[string]units.Power{}
 	for m, vals := range perModel {

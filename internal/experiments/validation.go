@@ -73,13 +73,13 @@ func (s *Suite) Fig4() ([]Fig4Row, error) {
 }
 
 func (s *Suite) fig4Row(ds *ispnet.Dataset, r *ispnet.Router) (Fig4Row, error) {
-	pred, err := s.prediction(ds, r.Name, r.Device.Model())
+	pred, err := s.prediction(ds, r.Name, r.Model)
 	if err != nil {
 		return Fig4Row{}, err
 	}
 	row := Fig4Row{
 		Router:     r.Name,
-		Model:      r.Device.Model(),
+		Model:      r.Model,
 		Autopower:  ds.Autopower[r.Name].Smooth(SmoothingWindow),
 		Prediction: pred.Smooth(SmoothingWindow),
 	}

@@ -54,37 +54,59 @@ func benchSimulateStream(b *testing.B, cfg Config) {
 	}
 }
 
+// scaleBenchCfgs are the fleet sizes the scale benchmarks run at: the
+// calibrated 107-router build at full study resolution, and generated
+// 1k/10k fleets at coarser grids sized so one iteration stays in
+// benchmark territory.
+var scaleBenchCfgs = []struct {
+	name string
+	cfg  Config
+}{
+	{"routers=107", Config{
+		Seed:          42,
+		Duration:      7 * 24 * time.Hour,
+		SNMPStep:      15 * time.Minute,
+		AutopowerStep: 5 * time.Minute,
+	}},
+	{"routers=1k", Config{
+		Seed:          42,
+		Routers:       1000,
+		Duration:      2 * 24 * time.Hour,
+		SNMPStep:      30 * time.Minute,
+		AutopowerStep: 30 * time.Minute,
+	}},
+	{"routers=10k", Config{
+		Seed:          42,
+		Routers:       10000,
+		Duration:      24 * time.Hour,
+		SNMPStep:      time.Hour,
+		AutopowerStep: time.Hour,
+	}},
+}
+
 // BenchmarkSimulateStream measures streaming throughput across fleet
-// sizes: the calibrated 107-router build at full study resolution, and
-// generated 1k/10k fleets at coarser grids sized so one iteration stays
-// in benchmark territory.
+// sizes (scaleBenchCfgs).
 func BenchmarkSimulateStream(b *testing.B) {
-	b.Run("routers=107", func(b *testing.B) {
-		benchSimulateStream(b, Config{
-			Seed:          42,
-			Duration:      7 * 24 * time.Hour,
-			SNMPStep:      15 * time.Minute,
-			AutopowerStep: 5 * time.Minute,
+	for _, c := range scaleBenchCfgs {
+		b.Run(c.name, func(b *testing.B) { benchSimulateStream(b, c.cfg) })
+	}
+}
+
+// BenchmarkBuild times Build alone on the SimulateStream configs: the
+// deployment — routers, interfaces, wiring — with no device, since the
+// replay materializes those per shard. SimulateStream minus Build is the
+// replay, fold and spill.
+func BenchmarkBuild(b *testing.B) {
+	for _, c := range scaleBenchCfgs {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(c.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
-	})
-	b.Run("routers=1k", func(b *testing.B) {
-		benchSimulateStream(b, Config{
-			Seed:          42,
-			Routers:       1000,
-			Duration:      2 * 24 * time.Hour,
-			SNMPStep:      30 * time.Minute,
-			AutopowerStep: 30 * time.Minute,
-		})
-	})
-	b.Run("routers=10k", func(b *testing.B) {
-		benchSimulateStream(b, Config{
-			Seed:          42,
-			Routers:       10000,
-			Duration:      24 * time.Hour,
-			SNMPStep:      time.Hour,
-			AutopowerStep: time.Hour,
-		})
-	})
+	}
 }
 
 // suiteCfg is the calibrated fleet at the experiment suite's working
@@ -110,11 +132,7 @@ func coldJobs(tb testing.TB, cfg Config) (*Network, *stepGrid, []replayJob) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	jobs, err := n.jobs(byRouter, n.meterSeeds())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return n, n.stepGrid(), jobs
+	return n, n.stepGrid(), n.jobs(byRouter, n.meterSeeds())
 }
 
 // BenchmarkShardPlay times the replay pipeline alone — every shard of the

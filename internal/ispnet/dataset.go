@@ -100,10 +100,7 @@ func (n *Network) run(extra []FleetEvent, sink SeriesSink) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := n.jobs(byRouter, n.meterSeeds())
-	if err != nil {
-		return nil, err
-	}
+	jobs := n.jobs(byRouter, n.meterSeeds())
 	grid := n.stepGrid()
 	var keep func(int, *routerShard) (bool, error)
 	if sink != nil {
@@ -144,33 +141,24 @@ func splitByRouter(evs []FleetEvent) map[string][]FleetEvent {
 
 // jobs builds one replay job per router of a freshly built network, in
 // fleet order.
-func (n *Network) jobs(byRouter map[string][]FleetEvent, meterSeeds map[string]int64) ([]replayJob, error) {
+func (n *Network) jobs(byRouter map[string][]FleetEvent, meterSeeds map[string]int64) []replayJob {
 	jobs := make([]replayJob, len(n.Routers))
 	for i, r := range n.Routers {
-		j, err := n.newJob(i, r, byRouter[r.Name], meterSeeds)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = j
+		jobs[i] = newJob(i, r, byRouter[r.Name], meterSeeds)
 	}
-	return jobs, nil
+	return jobs
 }
 
 // newJob stages router r, at fleet index i, for replay: its share of the
-// sorted, validated schedule compiled against r, and a fresh external
-// meter attached to r when the router is instrumented.
-func (n *Network) newJob(i int, r *Router, sched []FleetEvent, meterSeeds map[string]int64) (replayJob, error) {
-	j := replayJob{idx: i, router: r, sched: sched, events: make([]scheduledEvent, len(sched))}
-	for k, e := range sched {
-		j.events[k] = n.compileEvent(r, e)
-	}
+// sorted, validated schedule, and a fresh external meter when the router
+// is instrumented. The shard that plays the job attaches the meter to
+// the device it materializes and compiles the schedule against both.
+func newJob(i int, r *Router, sched []FleetEvent, meterSeeds map[string]int64) replayJob {
+	j := replayJob{idx: i, router: r, sched: sched}
 	if seed, ok := meterSeeds[r.Name]; ok {
 		j.meter = meter.New(seed)
-		if err := j.meter.Attach(0, r.Device); err != nil {
-			return replayJob{}, err
-		}
 	}
-	return j, nil
+	return j
 }
 
 // meterSeeds maps every instrumented router to its external-meter seed.
@@ -277,7 +265,7 @@ func (n *Network) replay(pl *player, grid *stepGrid, jobs []replayJob, capacity 
 // instrumented traces, then what addRouter records.
 func (ds *Dataset) addShard(sh *routerShard) {
 	r := sh.router
-	if sh.meter != nil {
+	if sh.autopower != nil {
 		ds.Autopower[r.Name] = sh.autopower
 		ds.IfaceRates[r.Name] = sh.rates
 		ds.IfaceProfiles[r.Name] = sh.profiles
@@ -302,7 +290,7 @@ func (ds *Dataset) addRouter(r *Router, w wallStats, psus []psu.Snapshot) {
 	if psus != nil {
 		ds.PSUSnapshots = append(ds.PSUSnapshots, psu.RouterPSUs{
 			Router: r.Name,
-			Model:  r.Device.Model(),
+			Model:  r.Model,
 			PSUs:   psus,
 		})
 	}
@@ -326,7 +314,7 @@ func (n *Network) baseEvents() []FleetEvent {
 	day := func(d int) time.Time { return start.Add(time.Duration(d) * 24 * time.Hour) }
 
 	for _, r := range n.AutopowerRouters() {
-		switch r.Device.Model() {
+		switch r.Model {
 		case "8201-32FH":
 			// Fig. 4a. Find the FR4 interfaces and a mid-list DAC.
 			var fr4, dac string
@@ -372,7 +360,7 @@ func (n *Network) baseEvents() []FleetEvent {
 
 // dropInterface removes an interface from the deployment records and
 // retires its port.
-func (n *Network) dropInterface(r *Router, ifName string) {
+func dropInterface(r *Router, ifName string) {
 	if r.retired == nil {
 		r.retired = make(map[string]bool)
 	}
@@ -385,8 +373,25 @@ func (n *Network) dropInterface(r *Router, ifName string) {
 	}
 }
 
-// addInterfaces brings up additional DAC interfaces on free ports.
-func (n *Network) addInterfaces(r *Router, count int) error {
+// deployPort puts a device port into the state a deployed interface of
+// profile p has: the transceiver plugged and, when up (every interface but
+// a spare), the port admin-up with a live far end.
+func deployPort(dev *device.Router, name string, p model.ProfileKey, up bool) error {
+	if err := dev.PlugTransceiver(name, p.Transceiver, p.Speed); err != nil {
+		return err
+	}
+	if !up {
+		return nil
+	}
+	if err := dev.SetAdmin(name, true); err != nil {
+		return err
+	}
+	return dev.SetLink(name, true)
+}
+
+// addInterfaces brings up additional DAC interfaces on free ports of the
+// router's device.
+func addInterfaces(r *Router, dev *device.Router, count int) error {
 	used := make(map[string]bool)
 	for _, itf := range r.Interfaces {
 		used[itf.Name] = true
@@ -402,20 +407,14 @@ func (n *Network) addInterfaces(r *Router, count int) error {
 		return fmt.Errorf("no template interface on %s", r.Name)
 	}
 	added := 0
-	for _, name := range r.Device.InterfaceNames() {
+	for _, name := range dev.Spec().PortNames() {
 		if added == count {
 			break
 		}
 		if used[name] || r.retired[name] {
 			continue
 		}
-		if err := r.Device.PlugTransceiver(name, tmplProfile.Profile.Transceiver, tmplProfile.Profile.Speed); err != nil {
-			return err
-		}
-		if err := r.Device.SetAdmin(name, true); err != nil {
-			return err
-		}
-		if err := r.Device.SetLink(name, true); err != nil {
+		if err := deployPort(dev, name, tmplProfile.Profile, true); err != nil {
 			return err
 		}
 		r.Interfaces = append(r.Interfaces, Interface{
@@ -448,13 +447,7 @@ func SimulateOSUpgrade(seed int64) (*timeseries.Series, time.Time, error) {
 	// Deploy a typical configuration.
 	names := dev.InterfaceNames()
 	for i := 0; i < 12; i++ {
-		if err := dev.PlugTransceiver(names[i], "Passive DAC", 100*units.GigabitPerSecond); err != nil {
-			return nil, time.Time{}, err
-		}
-		if err := dev.SetAdmin(names[i], true); err != nil {
-			return nil, time.Time{}, err
-		}
-		if err := dev.SetLink(names[i], true); err != nil {
+		if err := deployPort(dev, names[i], model.ProfileKey{Port: spec.PortType, Transceiver: model.PassiveDAC, Speed: 100 * units.GigabitPerSecond}, true); err != nil {
 			return nil, time.Time{}, err
 		}
 	}

@@ -3,6 +3,8 @@ package ispnet
 import (
 	"testing"
 	"time"
+
+	"fantasticjoules/internal/device"
 )
 
 // TestSortScheduleStableOnTies checks that events due at the same instant
@@ -119,13 +121,14 @@ func TestFlapRepairOrdering(t *testing.T) {
 	}
 	var r *Router
 	for _, cand := range ds.Network.AutopowerRouters() {
-		if cand.Device.Model() == "8201-32FH" {
+		if cand.Model == "8201-32FH" {
 			r = cand
 		}
 	}
 	if r == nil {
 		t.Fatal("no instrumented 8201-32FH")
 	}
+	dev := playedDevice(t, fullCfg(), r.Name)
 	// Find the flapped DAC from the event log and check its final state.
 	var flapped bool
 	for _, e := range ds.Events {
@@ -141,7 +144,7 @@ func TestFlapRepairOrdering(t *testing.T) {
 		if itf.Spare {
 			continue
 		}
-		_, admin, _, _, err := r.Device.InterfaceState(itf.Name)
+		_, admin, _, _, err := dev.InterfaceState(itf.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,4 +155,33 @@ func TestFlapRepairOrdering(t *testing.T) {
 	if downDACs != 0 {
 		t.Errorf("%d configured DACs still admin-down after the repair window", downDACs)
 	}
+}
+
+// playedDevice plays a cold run of cfg and returns the named router's
+// device as its shard left it after the window, swapped out before the
+// pipeline takes it back.
+func playedDevice(t *testing.T, cfg Config, router string) *device.Router {
+	t.Helper()
+	n, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, byRouter, err := n.schedule(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dev *device.Router
+	if err := (&player{workers: 1}).play(n, n.stepGrid(), n.jobs(byRouter, n.meterSeeds()), func(_ int, sh *routerShard) (bool, error) {
+		if sh.router.Name == router {
+			dev = sh.dev
+			sh.dev = new(device.Router) // keep the played one out of the free list
+		}
+		return false, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if dev == nil {
+		t.Fatalf("no router %s", router)
+	}
+	return dev
 }

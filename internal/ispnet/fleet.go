@@ -2,6 +2,8 @@ package ispnet
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -15,8 +17,9 @@ import (
 // unlike the closure-based scheduledEvent they compile into — can be
 // stored, merged, re-sorted, and re-resolved against freshly rebuilt
 // routers, which is what makes incremental replay possible: a dirty
-// router is rebuilt pristine from its own blueprint (no fleet-wide
-// Build) and its event queue recompiled against the new object.
+// router is copied pristine from the fleet's pristine network (no
+// fleet-wide Build) and its event queue recompiled against the copy and
+// the device its shard materializes.
 type FleetOp string
 
 const (
@@ -147,50 +150,50 @@ func describeFleetEvents(evs []FleetEvent) []Event {
 	return out
 }
 
-// compileEvent binds one validated event to router r. Compile each
-// replay: after a dirty router is rebuilt, the closures must capture the
-// new *Router.
-func (n *Network) compileEvent(r *Router, e FleetEvent) scheduledEvent {
+// compileEvent binds one validated event to router r and the device dev
+// its shard materialized. Compile each replay: the closures must capture
+// the *Router being played and the device playing it.
+func compileEvent(r *Router, dev *device.Router, e FleetEvent) scheduledEvent {
 	var apply func() error
 	switch e.Op {
 	case OpAdminDown:
-		apply = func() error { return r.Device.SetAdmin(e.Iface, false) }
+		apply = func() error { return dev.SetAdmin(e.Iface, false) }
 	case OpAdminUp:
-		apply = func() error { return r.Device.SetAdmin(e.Iface, true) }
+		apply = func() error { return dev.SetAdmin(e.Iface, true) }
 	case OpLinkDown:
-		apply = func() error { return r.Device.SetLink(e.Iface, false) }
+		apply = func() error { return dev.SetLink(e.Iface, false) }
 	case OpLinkUp:
-		apply = func() error { return r.Device.SetLink(e.Iface, true) }
+		apply = func() error { return dev.SetLink(e.Iface, true) }
 	case OpUnplug:
 		apply = func() error {
-			if err := r.Device.SetAdmin(e.Iface, false); err != nil {
+			if err := dev.SetAdmin(e.Iface, false); err != nil {
 				return err
 			}
-			n.dropInterface(r, e.Iface)
-			return r.Device.UnplugTransceiver(e.Iface)
+			dropInterface(r, e.Iface)
+			return dev.UnplugTransceiver(e.Iface)
 		}
 	case OpSleep:
 		apply = func() error {
 			if !hasInterface(r, e.Iface) {
 				return nil
 			}
-			return r.Device.SetAdmin(e.Iface, false)
+			return dev.SetAdmin(e.Iface, false)
 		}
 	case OpWake:
 		apply = func() error {
 			if !hasInterface(r, e.Iface) {
 				return nil
 			}
-			return r.Device.SetAdmin(e.Iface, true)
+			return dev.SetAdmin(e.Iface, true)
 		}
 	case OpAddInterfaces:
-		apply = func() error { return n.addInterfaces(r, e.Count) }
+		apply = func() error { return addInterfaces(r, dev, e.Count) }
 	case OpPowerCycle:
-		apply = func() error { return r.Device.PowerCycle(e.PSU) }
+		apply = func() error { return dev.PowerCycle(e.PSU) }
 	case OpPSUOffline:
-		apply = func() error { return r.Device.SetPSUOnline(e.PSU, false) }
+		apply = func() error { return dev.SetPSUOnline(e.PSU, false) }
 	case OpPSUOnline:
-		apply = func() error { return r.Device.SetPSUOnline(e.PSU, true) }
+		apply = func() error { return dev.SetPSUOnline(e.PSU, true) }
 	case OpScaleLoad:
 		apply = func() error {
 			for i := range r.Interfaces {
@@ -222,10 +225,11 @@ func (n *Network) compileEvent(r *Router, e FleetEvent) scheduledEvent {
 //
 //   - every router's replay is already independent (shards share no
 //     mutable state, per-router rng streams are seeded by fleet index),
-//   - a dirty router is rebuilt from its blueprint — its deployment as
-//     Build left it, captured before any event touched it — and a fresh
-//     device of the same model and seed, which reproduces the pristine
-//     router exactly (blueprint_test.go pins this against Build),
+//   - a dirty router is replayed from a clone of its pristine form — its
+//     deployment as Build left it, which no replay mutates — on a device
+//     its shard materializes from the model and the fleet-index seed,
+//     exactly as a cold run's shard does (blueprint_test.go pins the
+//     device against device.New),
 //   - the PSU snapshot is captured inside each shard's replay, so clean
 //     routers' rng streams are never re-advanced,
 //   - the one fold runs over the full router list in fleet order,
@@ -233,8 +237,14 @@ func (n *Network) compileEvent(r *Router, e FleetEvent) scheduledEvent {
 //     folds it.
 //
 // The work of a Resimulate is O(dirty) except for that fold: it
-// rebuilds, recompiles and replays only the dirty routers, and merges the
+// copies, recompiles and replays only the dirty routers, and merges the
 // new events into a schedule it keeps sorted and described.
+//
+// Neither a Fleet's routers nor its retained shards hold a device: each
+// shard materializes its router's device on one lent from the player's
+// free list and returns it when it is folded, so the fleet's devices are
+// that free list — bounded by the pipeline's window — kept for the next
+// Resimulate.
 //
 // Resimulate is transactional: the rebuilt routers, their replay results
 // and the new dataset are staged and committed together with the schedule
@@ -245,6 +255,12 @@ func (n *Network) compileEvent(r *Router, e FleetEvent) scheduledEvent {
 type Fleet struct {
 	cfg Config
 	net *Network
+	// pristine is the network as Build made it. No replay ever applies an
+	// event to one of its routers: a router is played in place only while
+	// it has no events, and otherwise on a clone of its pristine router,
+	// so net shares the pristine routers no event has touched. Pristine
+	// exposes it read-only.
+	pristine *Network
 
 	// grid is the window's step grid, built once: every replay reads its
 	// multipliers, and its nanosecond column keys every retained chunk.
@@ -256,9 +272,6 @@ type Fleet struct {
 	// meterSeeds maps instrumented router name → external-meter seed,
 	// captured once (the AutopowerRouters order of the pristine build).
 	meterSeeds map[string]int64
-	// blueprints holds, by fleet index, the pristine form of every router
-	// that has had events scheduled (see routerBlueprint).
-	blueprints map[int]*routerBlueprint
 
 	// base is the built-in schedule resolved against the pristine build
 	// and sorted; it must never be regenerated from the retained (mutated)
@@ -288,79 +301,32 @@ type Fleet struct {
 	ds *Dataset
 }
 
-// routerBlueprint is a router's pristine deployment: the metadata and
-// interfaces Build gave it, plus what recreates its device — the model
-// spec and the fleet-index seed. Rebuilding from it is O(one router),
-// where a fresh Build is O(fleet).
-//
-// A blueprint must be captured before the first replay that applies an
-// event to the router: events are the only mutation of a router's
-// deployment records (OpUnplug drops an interface, OpAddInterfaces
-// appends some, OpScaleLoad rescales loads), so until then the retained
-// router still holds its pristine interfaces. Capture is lazy — at
-// NewFleet for the routers the built-in schedule touches, at Perturb for
-// the rest — because an eager copy of every interface costs ≈21 MB at
-// 10k routers.
-type routerBlueprint struct {
-	spec   device.ModelSpec
-	seed   int64
-	router Router // Device unset; Interfaces is the blueprint's own copy
+// clone returns a copy of r that owns its interface list, so events
+// applied to the copy leave r as it is.
+func (r *Router) clone() *Router {
+	c := *r
+	c.Interfaces = slices.Clone(r.Interfaces)
+	return &c
 }
 
-func newBlueprint(r *Router, seed int64) *routerBlueprint {
-	b := &routerBlueprint{spec: r.Device.Spec(), seed: seed, router: *r}
-	b.router.Device = nil
-	b.router.Interfaces = append([]Interface(nil), r.Interfaces...)
-	return b
-}
-
-// rebuild returns a fresh router identical to the one Build made: a new
-// device of the same spec, name and seed, with every blueprint
-// transceiver plugged and every non-spare interface brought up, as
-// deploy and deployHier leave them.
-func (b *routerBlueprint) rebuild() (*Router, error) {
-	r := b.router
-	dev, err := device.New(b.spec, r.Name, b.seed)
-	if err != nil {
-		return nil, fmt.Errorf("ispnet: rebuild %s: %w", r.Name, err)
-	}
-	r.Device = dev
-	r.Interfaces = append([]Interface(nil), b.router.Interfaces...)
-	for i := range r.Interfaces {
-		itf := &r.Interfaces[i]
-		if err := dev.PlugTransceiver(itf.Name, itf.Profile.Transceiver, itf.Profile.Speed); err != nil {
-			return nil, fmt.Errorf("ispnet: rebuild %s: %w", r.Name, err)
-		}
-		if itf.Spare {
-			continue
-		}
-		if err := dev.SetAdmin(itf.Name, true); err != nil {
-			return nil, fmt.Errorf("ispnet: rebuild %s: %w", r.Name, err)
-		}
-		if err := dev.SetLink(itf.Name, true); err != nil {
-			return nil, fmt.Errorf("ispnet: rebuild %s: %w", r.Name, err)
-		}
-	}
-	return &r, nil
-}
-
-// capture records the blueprint of the router at fleet index i unless it
-// already has one.
-func (f *Fleet) capture(i int) {
-	if f.blueprints[i] == nil {
-		f.blueprints[i] = newBlueprint(f.net.Routers[i], deviceSeed(f.cfg.Seed, i))
-	}
+// share returns a network that shares n's routers but owns its router
+// list and name index, so routers can be replaced in it without touching
+// n.
+func (n *Network) share() *Network {
+	c := *n
+	c.Routers = slices.Clone(n.Routers)
+	c.byName = maps.Clone(n.byName)
+	return &c
 }
 
 // replayJob is one router staged for replay: its fleet index, the router
-// object to play (a blueprint rebuild, or the built router on the first
-// play), its merged schedule, that schedule compiled against it, and its
+// object to play (a copy of its pristine router, or the built router on
+// a cold run and the first Fleet play), its merged schedule, and its
 // external meter (nil unless instrumented).
 type replayJob struct {
 	idx    int
 	router *Router
 	sched  []FleetEvent
-	events []scheduledEvent
 	meter  *meter.Meter
 }
 
@@ -386,12 +352,12 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		cfg:        n.Config, // defaults applied by Build
-		net:        n,
+		net:        n.share(),
+		pristine:   n,
 		grid:       n.stepGrid(),
 		capacity:   n.totalCapacity(),
 		index:      make(map[string]int, len(n.Routers)),
 		meterSeeds: n.meterSeeds(),
-		blueprints: make(map[int]*routerBlueprint),
 		base:       base,
 		byRouter:   byRouter,
 		described:  describeFleetEvents(base),
@@ -403,9 +369,6 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	for i, r := range n.Routers {
 		f.index[r.Name] = i
 	}
-	for _, e := range f.base {
-		f.capture(f.index[e.Router])
-	}
 	// Generated hierarchical fleets retain encoded chunks instead of live
 	// shards (fleet_chunks.go): they carry no instrumented routers, and at
 	// 10k+ routers the live-shard working set would not fit a bounded
@@ -413,9 +376,11 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	f.chunked = n.Hierarchical() && len(f.meterSeeds) == 0
 	metricRuns.Inc()
 
-	jobs, err := n.jobs(byRouter, f.meterSeeds)
-	if err != nil {
-		return nil, err
+	jobs := f.net.jobs(byRouter, f.meterSeeds)
+	for k := range jobs {
+		if len(jobs[k].sched) > 0 {
+			jobs[k].router = jobs[k].router.clone()
+		}
 	}
 	st, err := f.replay(jobs, f.described)
 	if err != nil {
@@ -437,6 +402,11 @@ func (f *Fleet) Dataset() *Dataset { return f.ds }
 // Network returns the retained network. Mutating it outside Perturb
 // voids the bit-identity guarantee.
 func (f *Fleet) Network() *Network { return f.net }
+
+// Pristine returns the network as Build made it, before any event —
+// built-in or perturbed — was applied: the fleet replays dirty routers
+// from copies of its routers. The caller must treat it as read-only.
+func (f *Fleet) Pristine() *Network { return f.pristine }
 
 // ExtraEvents returns a copy of every perturbation applied since the
 // fleet was built (the schedule beyond the built-in base events), pending
@@ -461,12 +431,7 @@ func (f *Fleet) Perturb(events ...FleetEvent) error {
 			return fmt.Errorf("ispnet: perturb: unknown router %q", e.Router)
 		}
 	}
-	for _, e := range events {
-		// A router first named here has had no event applied yet, so its
-		// retained interfaces are still pristine.
-		f.capture(f.index[e.Router])
-		f.pending = append(f.pending, e)
-	}
+	f.pending = append(f.pending, events...)
 	return nil
 }
 
@@ -497,14 +462,9 @@ func (f *Fleet) Resimulate() (*Dataset, error) {
 
 	jobs := make([]replayJob, len(dirty))
 	for k, i := range dirty {
-		r, err := f.blueprints[i].rebuild()
-		if err != nil {
-			return nil, err
-		}
+		r := f.pristine.Routers[i].clone()
 		sched := mergeByTime(f.byRouter[r.Name], perRouter[r.Name], fleetEventAt)
-		if jobs[k], err = f.net.newJob(i, r, sched, f.meterSeeds); err != nil {
-			return nil, err
-		}
+		jobs[k] = newJob(i, r, sched, f.meterSeeds)
 	}
 	described := mergeByTime(f.described, describeFleetEvents(batch), eventTime)
 	st, err := f.replay(jobs, described)

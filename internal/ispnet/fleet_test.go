@@ -369,3 +369,37 @@ func (f *Fleet) Events() []FleetEvent {
 	sortFleetEvents(out)
 	return out
 }
+
+// TestFleetRetainsNoDevice checks that devices live only inside their
+// shard: after NewFleet and after a Resimulate, no retained shard keeps
+// its device, its meter (which would reach the device through its
+// channel) or its compiled events (whose closures capture the device),
+// and the player holds no more devices than its window admits at once.
+func TestFleetRetainsNoDevice(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Workers = 3
+	f, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, sh := range f.shards {
+			if sh.dev != nil || sh.meter != nil || sh.events != nil {
+				t.Fatalf("%s: retained shard %d (%s) still reaches its device", when, i, sh.router.Name)
+			}
+		}
+		if got, max := len(f.player.devices), cfg.Workers+streamWindowSlack; got == 0 || got > max {
+			t.Fatalf("%s: player keeps %d devices, want 1..%d", when, got, max)
+		}
+	}
+	check("NewFleet")
+	r := f.Network().AutopowerRouters()[0]
+	if err := f.Perturb(FleetEvent{At: f.cfg.Start.Add(time.Hour), Router: r.Name, Op: OpScaleLoad, Factor: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Resimulate(); err != nil {
+		t.Fatal(err)
+	}
+	check("Resimulate")
+}

@@ -18,7 +18,7 @@ func fleetFingerprint(n *Network) uint64 {
 		fmt.Fprintf(h, format, args...)
 	}
 	for _, r := range n.Routers {
-		put("R|%s|%s|%s|%v\n", r.Name, r.Device.Model(), r.Tier, r.Autopower)
+		put("R|%s|%s|%s|%v\n", r.Name, r.Model, r.Tier, r.Autopower)
 		for _, itf := range r.Interfaces {
 			put("I|%s|%v|%v|%v|%x|%d|%x|%x|%x|%x\n",
 				itf.Name, itf.Profile, itf.External, itf.Spare,

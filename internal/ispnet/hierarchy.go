@@ -3,7 +3,6 @@ package ispnet
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"fantasticjoules/internal/device"
 	"fantasticjoules/internal/model"
@@ -80,9 +79,9 @@ func buildHierarchy(cfg Config) (*Network, error) {
 	}
 	n := &Network{
 		Config:  cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		diurnal: trafficgen.DefaultDiurnal(),
 		byName:  make(map[string]*Router, cfg.Routers),
+		specs:   make(map[string]device.ModelSpec),
 		hier:    true,
 	}
 
@@ -99,7 +98,6 @@ func buildHierarchy(cfg Config) (*Network, error) {
 	// Instantiate routers tier by tier, core outward, so router indices —
 	// and with them device seeds and noise keys — depend only on
 	// (Routers, Seed).
-	specs := map[string]device.ModelSpec{}
 	plan := fleetPlan()
 	idx := 0
 	deployPop := func(p *hierPop, size int, gatewayModel string, memberModels []string) error {
@@ -108,22 +106,18 @@ func buildHierarchy(cfg Config) (*Network, error) {
 			if j > 0 {
 				modelName = memberModels[(j-1)%len(memberModels)]
 			}
-			spec, ok := specs[modelName]
+			spec, ok := n.specs[modelName]
 			if !ok {
 				s, err := device.Spec(modelName)
 				if err != nil {
 					return err
 				}
-				specs[modelName] = s
+				n.specs[modelName] = s
 				spec = s
 			}
 			name := fmt.Sprintf("%s-r%d", p.name, j)
-			dev, err := device.New(spec, name, deviceSeed(cfg.Seed, idx))
-			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			r := &Router{Name: name, PoP: p.name, Tier: p.tier, Device: dev}
-			if err := n.deployHier(r, plan[modelName], p.tier, idx); err != nil {
+			r := &Router{Name: name, PoP: p.name, Tier: p.tier, Model: modelName}
+			if err := n.deployHier(r, spec, plan[modelName], p.tier, idx); err != nil {
 				return fmt.Errorf("deploy %s: %w", name, err)
 			}
 			n.Routers = append(n.Routers, r)
@@ -252,36 +246,20 @@ func splitPops(prefix, tier string, count, per int) []*hierPop {
 //   - internal interfaces get a provisional wholesale load standing in
 //     for locally attached infrastructure; wiring overwrites it on every
 //     interface that becomes an inter-router link.
-func (n *Network) deployHier(r *Router, tpl deployTemplate, tier string, routerIdx int) error {
-	names := r.Device.InterfaceNames()
-	next := 0
-	take := func() (string, error) {
-		if next >= len(names) {
-			return "", fmt.Errorf("out of ports (%d)", len(names))
-		}
-		name := names[next]
-		next++
-		return name, nil
-	}
+func (n *Network) deployHier(r *Router, spec device.ModelSpec, tpl deployTemplate, tier string, routerIdx int) error {
+	take := portTaker(spec)
+	r.Interfaces = make([]Interface, 0, tpl.ports())
 	for _, grp := range tpl.groups {
+		key := model.ProfileKey{Port: spec.PortType, Transceiver: grp.trx, Speed: grp.speed}
 		for i := 0; i < grp.n; i++ {
-			ifName, err := take()
+			ifName, err := take(key)
 			if err != nil {
 				return err
 			}
-			if err := r.Device.PlugTransceiver(ifName, grp.trx, grp.speed); err != nil {
-				return err
-			}
-			if err := r.Device.SetAdmin(ifName, true); err != nil {
-				return err
-			}
-			if err := r.Device.SetLink(ifName, true); err != nil {
-				return err
-			}
-			key := ifaceNoiseKey(routerIdx, next-1)
+			noise := ifaceNoiseKey(routerIdx, len(r.Interfaces))
 			// ±40 % spread around the template utilization, as deploy()
 			// applies, but keyed structurally.
-			spread := 0.6 + 0.8*keyFloat(key, n.Config.Seed)
+			spread := 0.6 + 0.8*keyFloat(noise, n.Config.Seed)
 			target := grp.utilization * spread * grp.speed.BitsPerSecond()
 			var sub [trafficgen.NumCohorts]float64
 			subs := 0
@@ -294,29 +272,27 @@ func (n *Network) deployHier(r *Router, tpl deployTemplate, tier string, routerI
 			}
 			r.Interfaces = append(r.Interfaces, Interface{
 				Name:        ifName,
-				Profile:     model.ProfileKey{Port: r.Device.Spec().PortType, Transceiver: grp.trx, Speed: grp.speed},
+				Profile:     key,
 				External:    grp.external,
 				MeanLoad:    units.BitRate(sub[0] + sub[1] + sub[2]),
 				Subscribers: subs,
 				SubDemand:   sub,
-				noiseKey:    key,
+				noiseKey:    noise,
 			})
 		}
 	}
 	for i := 0; i < tpl.spares && len(tpl.groups) > 0; i++ {
-		ifName, err := take()
-		if err != nil {
-			return err
-		}
 		grp := tpl.groups[tpl.spareGroupIndex()]
-		if err := r.Device.PlugTransceiver(ifName, grp.trx, grp.speed); err != nil {
+		key := model.ProfileKey{Port: spec.PortType, Transceiver: grp.trx, Speed: grp.speed}
+		ifName, err := take(key)
+		if err != nil {
 			return err
 		}
 		r.Interfaces = append(r.Interfaces, Interface{
 			Name:     ifName,
-			Profile:  model.ProfileKey{Port: r.Device.Spec().PortType, Transceiver: grp.trx, Speed: grp.speed},
+			Profile:  key,
 			Spare:    true,
-			noiseKey: ifaceNoiseKey(routerIdx, next-1),
+			noiseKey: ifaceNoiseKey(routerIdx, len(r.Interfaces)),
 		})
 	}
 	return nil

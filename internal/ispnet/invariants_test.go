@@ -24,7 +24,7 @@ func TestNoisePrefixMatchesHash64(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	checked := 0
 	for _, r := range n.Routers {
-		for _, name := range r.Device.InterfaceNames() {
+		for _, name := range n.specs[r.Model].PortNames() {
 			prefix := noisePrefix(r.Name, name)
 			for k := 0; k < 4; k++ {
 				unix := rng.Int63() - rng.Int63()
@@ -54,7 +54,7 @@ func TestPlanNoisePrefixes(t *testing.T) {
 	}
 	idx, name := -1, ""
 	for i, r := range f.Network().Routers {
-		if r.Device.Model() == "8201-32FH" {
+		if r.Model == "8201-32FH" {
 			idx, name = i, r.Name
 			break
 		}
@@ -83,10 +83,7 @@ func TestPlanNoisePrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := hn.jobs(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := hn.jobs(nil, nil)
 	if err := (&player{workers: 1}).play(hn, hn.stepGrid(), jobs[:8], func(_ int, sh *routerShard) (bool, error) {
 		for _, p := range sh.plan {
 			if p.noise != 0 {

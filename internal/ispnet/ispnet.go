@@ -54,8 +54,8 @@ type Config struct {
 	// 100k the intended ceiling.
 	Routers int
 	// Workers bounds how many router shards a replay plays concurrently.
-	// Per-router state is independent (each router owns its device, its
-	// meter, and its events), so the fleet replay is embarrassingly
+	// Per-router state is independent (each shard owns its router's
+	// device, meter and events), so the fleet replay is embarrassingly
 	// parallel; only the network totals are shared, and the fold adds
 	// the shards into them in fixed fleet order. 0 (the default) uses
 	// runtime.GOMAXPROCS(0); 1 plays the shards one after another on the
@@ -121,8 +121,11 @@ type Interface struct {
 	noiseKey uint64
 }
 
-// Router is one deployed router: the simulated device plus its deployment
-// metadata.
+// Router is one deployed router: its deployment metadata and interfaces,
+// and the hardware model they are deployed on. A Router carries no
+// electrical device: the replay pipeline materializes one, from the model
+// and the router's fleet-index seed, inside the shard that plays the
+// router, and recycles it when the shard is folded (shard.go).
 type Router struct {
 	// Name is the anonymized router name; the PoP is encoded in the
 	// prefix so intra-PoP relations stay visible (the paper's
@@ -132,8 +135,8 @@ type Router struct {
 	// Tier is the PoP tier on hierarchical fleets ("access", "metro",
 	// "core"); empty on the calibrated 107-router build.
 	Tier string
-	// Device is the electrical simulation.
-	Device *device.Router
+	// Model is the hardware model (a device.Catalog name).
+	Model string
 	// Interfaces lists the deployed interfaces (configured or spare).
 	Interfaces []Interface
 	// Autopower marks the three externally metered routers.
@@ -163,9 +166,11 @@ type Network struct {
 	Config  Config
 	Routers []*Router
 
-	rng     *rand.Rand
 	diurnal trafficgen.Diurnal
 	byName  map[string]*Router
+	// specs maps every model in the fleet to its hardware spec, for the
+	// shards that materialize devices; read-only after Build.
+	specs map[string]device.ModelSpec
 	// hier marks a hierarchical fleet: loads come from the per-interface
 	// cohort demand vectors instead of the calibrated MeanLoad path.
 	hier bool
@@ -212,6 +217,19 @@ type deployTemplate struct {
 	// as a 1-based index; 0 means the last group (spares tend to be the
 	// pricey optics staged for the backbone).
 	spareGroup int
+}
+
+// ports is the number of interfaces the template deploys: every group
+// member plus the spares.
+func (t deployTemplate) ports() int {
+	n := 0
+	for _, g := range t.groups {
+		n += g.n
+	}
+	if len(t.groups) > 0 {
+		n += t.spares
+	}
+	return n
 }
 
 // spareGroupIndex resolves the spare transceiver group.
@@ -302,9 +320,9 @@ func Build(cfg Config) (*Network, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := &Network{
 		Config:  cfg,
-		rng:     rng,
 		diurnal: trafficgen.DefaultDiurnal(),
 		byName:  make(map[string]*Router),
+		specs:   make(map[string]device.ModelSpec),
 	}
 
 	plan := fleetPlan()
@@ -332,15 +350,12 @@ func Build(cfg Config) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
+		n.specs[modelName] = spec
 		for i := 0; i < tpl.count; i++ {
 			pop := pops[idx%len(pops)]
 			name := fmt.Sprintf("%s-rtr%02d", pop, idx)
-			dev, err := device.New(spec, name, deviceSeed(cfg.Seed, idx))
-			if err != nil {
-				return nil, fmt.Errorf("ispnet: %s: %w", name, err)
-			}
-			r := &Router{Name: name, PoP: pop, Device: dev}
-			if err := deploy(r, tpl, rng); err != nil {
+			r := &Router{Name: name, PoP: pop, Model: modelName}
+			if err := deploy(r, spec, tpl, rng); err != nil {
 				return nil, fmt.Errorf("ispnet: deploy %s: %w", name, err)
 			}
 			n.Routers = append(n.Routers, r)
@@ -355,42 +370,30 @@ func Build(cfg Config) (*Network, error) {
 }
 
 // deviceSeed is the device rng seed of the router at fleet index idx. It
-// is part of the determinism contract: a Fleet rebuilds a dirty router
-// from its blueprint with the seed Build gave it.
+// is part of the determinism contract: every shard that plays the router,
+// cold or in a Fleet, materializes its device with this seed.
 func deviceSeed(seed int64, idx int) int64 { return seed + int64(idx)*7919 }
 
-// deploy populates a router from its template.
-func deploy(r *Router, tpl deployTemplate, rng *rand.Rand) error {
-	names := r.Device.InterfaceNames()
-	next := 0
-	take := func() (string, error) {
-		if next >= len(names) {
-			return "", fmt.Errorf("out of ports (%d)", len(names))
-		}
-		name := names[next]
-		next++
-		return name, nil
-	}
+// deploy populates a router's deployment records from its template: the
+// groups' interfaces, then the spares, on the model's ports in order. It
+// checks every profile against the spec as plugging it would, so a
+// template the model cannot carry fails Build; the device itself is made
+// only by the shard that plays the router (routerShard.materialize).
+func deploy(r *Router, spec device.ModelSpec, tpl deployTemplate, rng *rand.Rand) error {
+	take := portTaker(spec)
+	r.Interfaces = make([]Interface, 0, tpl.ports())
 	for _, grp := range tpl.groups {
+		key := model.ProfileKey{Port: spec.PortType, Transceiver: grp.trx, Speed: grp.speed}
 		for i := 0; i < grp.n; i++ {
-			ifName, err := take()
+			ifName, err := take(key)
 			if err != nil {
-				return err
-			}
-			if err := r.Device.PlugTransceiver(ifName, grp.trx, grp.speed); err != nil {
-				return err
-			}
-			if err := r.Device.SetAdmin(ifName, true); err != nil {
-				return err
-			}
-			if err := r.Device.SetLink(ifName, true); err != nil {
 				return err
 			}
 			// ±40 % spread around the template utilization.
 			util := grp.utilization * (0.6 + 0.8*rng.Float64())
 			r.Interfaces = append(r.Interfaces, Interface{
 				Name:     ifName,
-				Profile:  model.ProfileKey{Port: r.Device.Spec().PortType, Transceiver: grp.trx, Speed: grp.speed},
+				Profile:  key,
 				External: grp.external,
 				MeanLoad: units.BitRate(util * grp.speed.BitsPerSecond()),
 			})
@@ -398,21 +401,32 @@ func deploy(r *Router, tpl deployTemplate, rng *rand.Rand) error {
 	}
 	// Spares: plugged, admin-down.
 	for i := 0; i < tpl.spares && len(tpl.groups) > 0; i++ {
-		ifName, err := take()
+		grp := tpl.groups[tpl.spareGroupIndex()]
+		key := model.ProfileKey{Port: spec.PortType, Transceiver: grp.trx, Speed: grp.speed}
+		ifName, err := take(key)
 		if err != nil {
 			return err
 		}
-		grp := tpl.groups[tpl.spareGroupIndex()]
-		if err := r.Device.PlugTransceiver(ifName, grp.trx, grp.speed); err != nil {
-			return err
-		}
-		r.Interfaces = append(r.Interfaces, Interface{
-			Name:    ifName,
-			Profile: model.ProfileKey{Port: r.Device.Spec().PortType, Transceiver: grp.trx, Speed: grp.speed},
-			Spare:   true,
-		})
+		r.Interfaces = append(r.Interfaces, Interface{Name: ifName, Profile: key, Spare: true})
 	}
 	return nil
+}
+
+// portTaker hands out the model's ports in order, each for a profile the
+// model must support.
+func portTaker(spec device.ModelSpec) func(model.ProfileKey) (string, error) {
+	names := spec.PortNames()
+	next := 0
+	return func(key model.ProfileKey) (string, error) {
+		if next >= len(names) {
+			return "", fmt.Errorf("out of ports (%d)", len(names))
+		}
+		if err := spec.Supports(key); err != nil {
+			return "", err
+		}
+		next++
+		return names[next-1], nil
+	}
 }
 
 // wireInternalLinks builds the backbone Hypnos works over: routers chain
@@ -516,9 +530,9 @@ func (n *Network) wireInternalLinks() {
 func (n *Network) markSpecialRouters() {
 	want := map[string]bool{"8201-32FH": true, "NCS-55A1-24H": true, "N540X-8Z16G-SYS-A": true}
 	for _, r := range n.Routers {
-		if want[r.Device.Model()] {
+		if want[r.Model] {
 			r.Autopower = true
-			delete(want, r.Device.Model())
+			delete(want, r.Model)
 		}
 	}
 	// Fig. 1 power steps: one mid-size router decommissioned in week 3,
@@ -526,7 +540,7 @@ func (n *Network) markSpecialRouters() {
 	// Autopower routers.
 	var candidates []*Router
 	for _, r := range n.Routers {
-		if !r.Autopower && (r.Device.Model() == "ASR-9001" || r.Device.Model() == "NCS-55A1-48Q6H") {
+		if !r.Autopower && (r.Model == "ASR-9001" || r.Model == "NCS-55A1-48Q6H") {
 			candidates = append(candidates, r)
 		}
 	}

@@ -2,9 +2,11 @@ package ispnet
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"fantasticjoules/internal/device"
 	"fantasticjoules/internal/units"
 )
 
@@ -125,7 +127,7 @@ func TestAutopowerRouterSelection(t *testing.T) {
 	}
 	models := map[string]bool{}
 	for _, r := range aps {
-		models[r.Device.Model()] = true
+		models[r.Model] = true
 	}
 	for _, want := range []string{"8201-32FH", "NCS-55A1-24H", "N540X-8Z16G-SYS-A"} {
 		if !models[want] {
@@ -179,7 +181,7 @@ func TestSimulateTable1Medians(t *testing.T) {
 		if !ok {
 			t.Fatalf("median for unknown router %s", name)
 		}
-		medians[r.Device.Model()] = append(medians[r.Device.Model()], med.Watts())
+		medians[r.Model] = append(medians[r.Model], med.Watts())
 	}
 	for modelName, target := range want {
 		vals := medians[modelName]
@@ -203,13 +205,14 @@ func TestDiurnalVisibleInTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.TotalTraffic.Max() < 1.3*ds.TotalTraffic.Min() {
+	traffic, power := ds.TotalTraffic.Values(), ds.TotalPower.Values()
+	if slices.Max(traffic) < 1.3*slices.Min(traffic) {
 		t.Errorf("traffic swing too flat: min %.2f max %.2f Tbps",
-			ds.TotalTraffic.Min()/1e12, ds.TotalTraffic.Max()/1e12)
+			slices.Min(traffic)/1e12, slices.Max(traffic)/1e12)
 	}
 	// Power barely follows traffic (§7: the correlation is invisible at
 	// network scale): the power swing must be a tiny fraction of the mean.
-	swing := ds.TotalPower.Max() - ds.TotalPower.Min()
+	swing := slices.Max(power) - slices.Min(power)
 	if swing/ds.TotalPower.Mean() > 0.05 {
 		t.Errorf("power swing = %.1f%% of mean; traffic should barely move network power",
 			100*swing/ds.TotalPower.Mean())
@@ -230,7 +233,7 @@ func TestAutopowerTraces(t *testing.T) {
 	}
 	for name := range ds.SNMPPower {
 		r, _ := ds.Network.RouterByName(name)
-		if r.Device.Model() == "N540X-8Z16G-SYS-A" {
+		if r.Model == "N540X-8Z16G-SYS-A" {
 			t.Error("the N540X must not report PSU power")
 		}
 	}
@@ -250,7 +253,7 @@ func TestSNMPOffsetOn8201(t *testing.T) {
 	}
 	for name, snmp := range ds.SNMPPower {
 		r, _ := ds.Network.RouterByName(name)
-		if r.Device.Model() != "8201-32FH" {
+		if r.Model != "8201-32FH" {
 			continue
 		}
 		diff := snmp.Median() - ds.Autopower[name].Median()
@@ -272,7 +275,7 @@ func TestFullWindowEvents(t *testing.T) {
 	// Locate the instrumented 8201 and its trace.
 	var name string
 	for _, r := range ds.Network.AutopowerRouters() {
-		if r.Device.Model() == "8201-32FH" {
+		if r.Model == "8201-32FH" {
 			name = r.Name
 		}
 	}
@@ -321,7 +324,7 @@ func TestIfaceRatesTrackFlapping(t *testing.T) {
 	}
 	var name string
 	for _, r := range ds.Network.AutopowerRouters() {
-		if r.Device.Model() == "8201-32FH" {
+		if r.Model == "8201-32FH" {
 			name = r.Name
 		}
 	}
@@ -334,7 +337,8 @@ func TestIfaceRatesTrackFlapping(t *testing.T) {
 	for _, rates := range ds.IfaceRates[name] {
 		during := rates.Between(flapStart.Add(2*time.Hour), flapEnd.Add(-2*time.Hour))
 		afterWindow := rates.Between(flapEnd.Add(2*time.Hour), flapEnd.Add(48*time.Hour))
-		if during.Len() > 0 && during.Max() == 0 && afterWindow.Max() > 0 {
+		if during.Len() > 0 && slices.Max(during.Values()) == 0 &&
+			afterWindow.Len() > 0 && slices.Max(afterWindow.Values()) > 0 {
 			silent++
 		}
 	}
@@ -413,17 +417,19 @@ func TestTotalCapacityCountsLinksOnce(t *testing.T) {
 }
 
 // TestInventoryMatchesDeviceState checks the invariant between the
-// deployment records and the electrical simulation: every non-spare
-// record is plugged and admin-up on the device, and every spare is
-// plugged but admin-down.
+// deployment records and the electrical simulation: on the device a
+// shard materializes for a router, every non-spare record is plugged and
+// admin-up, and every spare is plugged but admin-down.
 func TestInventoryMatchesDeviceState(t *testing.T) {
 	n, err := Build(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range n.Routers {
+	dev := new(device.Router)
+	for i, r := range n.Routers {
+		materialized(t, n, i, dev)
 		for _, itf := range r.Interfaces {
-			present, admin, _, key, err := r.Device.InterfaceState(itf.Name)
+			present, admin, _, key, err := dev.InterfaceState(itf.Name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,13 +35,17 @@ var (
 		"router shards spliced back unchanged by Fleet.Resimulate")
 )
 
-// playInstrumented wraps one shard replay with its telemetry: worker-pool
-// occupancy, replay duration, and the shard's sample/event tallies.
+// playInstrumented materializes and plays one shard, wrapped with its
+// telemetry: worker-pool occupancy, replay duration, and the shard's
+// sample/event tallies.
 func (sh *routerShard) playInstrumented() error {
 	metricBusyWorkers.Add(1)
 	defer metricBusyWorkers.Add(-1)
 	defer metricShardSeconds.ObserveSince(time.Now())
-	err := sh.play()
+	err := sh.materialize()
+	if err == nil {
+		err = sh.play()
+	}
 	metricRouters.Inc()
 	metricEvents.Add(uint64(sh.eventsApplied))
 	metricSteps.Add(uint64(len(sh.grid.times)))

@@ -16,12 +16,19 @@ import (
 )
 
 // routerShard is the unit of parallelism of the replay pipeline: one
-// router's complete timeline — its filtered event queue, its device
-// advances, its wall samples and, for instrumented routers, its
+// router's complete timeline — its device, its filtered event queue, its
+// device advances, its wall samples and, for instrumented routers, its
 // Autopower/SNMP/rate traces.
 //
+// The device lives only inside the shard: the pipeline lends the shard a
+// recycled *device.Router at admit, the worker materializes the router on
+// it (materialize) before play, and the pipeline takes it back when the
+// shard is folded, dropping every reference to it — the meter and the
+// compiled events included — so a retained shard keeps its results, not
+// its device.
+//
 // Everything a shard touches while play runs is owned by exactly one
-// worker goroutine (goroutine confinement): the *device.Router and
+// worker goroutine (goroutine confinement): the device and the
 // *meter.Meter belong to this router alone, LoadAt is pure, and the events
 // in the queue mutate only this router. The hot path therefore contends on
 // no locks. The result fields are read by the consumer only after the
@@ -29,7 +36,15 @@ import (
 type routerShard struct {
 	net    *Network
 	router *Router
-	meter  *meter.Meter // nil unless instrumented
+	// idx is the router's fleet index, the key of its device seed.
+	idx int
+	// dev is the recycled device the shard plays the router on, from
+	// admit until the pipeline takes it back (nil otherwise).
+	dev   *device.Router
+	meter *meter.Meter // nil unless instrumented; detached at finish
+	// sched is the router's share of the schedule; materialize compiles
+	// it into events against (router, dev).
+	sched  []FleetEvent
 	events []scheduledEvent
 	// grid is the window's shared, read-only step grid.
 	grid *stepGrid
@@ -111,7 +126,7 @@ func (sh *routerShard) buildPlan() error {
 	sh.plan = sh.plan[:0]
 	for i := range r.Interfaces {
 		itf := &r.Interfaces[i]
-		h, err := r.Device.Handle(itf.Name)
+		h, err := sh.dev.Handle(itf.Name)
 		if err != nil {
 			return err
 		}
@@ -123,6 +138,39 @@ func (sh *routerShard) buildPlan() error {
 		if sh.profiles != nil {
 			sh.profiles[itf.Name] = itf.Profile
 		}
+	}
+	return nil
+}
+
+// materialize makes the shard's device: it resets the lent device to the
+// router's model and fleet-index seed, plugs every deployed transceiver
+// and brings every non-spare interface up — the device Build used to
+// carry, as deploy and deployHier plan it — then attaches the external
+// meter and compiles the router's events against (router, device). It
+// runs in the worker, just before play.
+func (sh *routerShard) materialize() error {
+	r, dev := sh.router, sh.dev
+	spec, ok := sh.net.specs[r.Model]
+	if !ok {
+		return fmt.Errorf("ispnet: %s: unknown model %q", r.Name, r.Model)
+	}
+	if err := dev.Reset(spec, r.Name, deviceSeed(sh.net.Config.Seed, sh.idx)); err != nil {
+		return fmt.Errorf("ispnet: %s: %w", r.Name, err)
+	}
+	for i := range r.Interfaces {
+		itf := &r.Interfaces[i]
+		if err := deployPort(dev, itf.Name, itf.Profile, !itf.Spare); err != nil {
+			return fmt.Errorf("ispnet: %s: %w", r.Name, err)
+		}
+	}
+	if sh.meter != nil {
+		if err := sh.meter.Attach(0, dev); err != nil {
+			return err
+		}
+	}
+	sh.events = make([]scheduledEvent, len(sh.sched))
+	for k, e := range sh.sched {
+		sh.events[k] = compileEvent(r, dev, e)
 	}
 	return nil
 }
@@ -151,7 +199,7 @@ func (sh *routerShard) allocTraces() {
 //
 //joules:hotpath
 func (sh *routerShard) play() error {
-	n, r := sh.net, sh.router
+	n, r, dev := sh.net, sh.router, sh.dev
 	cfg := n.Config
 	//jouleslint:ignore hotpath -- cold start: allocates a metered shard's traces once, before its window replays
 	sh.allocTraces()
@@ -194,7 +242,7 @@ func (sh *routerShard) play() error {
 		} else {
 			mult = g.mult[si]
 		}
-		st := r.Device.BeginStep()
+		st := dev.BeginStep()
 		var stepTraffic float64
 		for pi := range sh.plan {
 			p := &sh.plan[pi]
@@ -234,7 +282,7 @@ func (sh *routerShard) play() error {
 					return err
 				}
 				sh.autopower.Append(t.Add(sub), v.Watts())
-				r.Device.Advance(cfg.AutopowerStep)
+				dev.Advance(cfg.AutopowerStep)
 			}
 			for pi := range sh.plan {
 				p := &sh.plan[pi]
@@ -255,14 +303,14 @@ func (sh *routerShard) play() error {
 					p.rateSeries.Append(t, 0)
 				}
 			}
-			if rep, err := r.Device.ReportedTotalPower(); err == nil {
+			if rep, err := dev.ReportedTotalPower(); err == nil {
 				if sh.snmp == nil {
 					//jouleslint:ignore hotpath -- lazy one-time creation of the reported-power series
 					sh.snmp = timeseries.NewWithCap(r.Name+".snmp", len(g.times))
 				}
 				sh.snmp.Append(t, rep.Watts())
 			}
-			w = r.Device.WallPower().Watts()
+			w = dev.WallPower().Watts()
 		} else {
 			st.Advance(cfg.SNMPStep)
 			w = st.WallPower().Watts()
@@ -282,7 +330,7 @@ func (sh *routerShard) play() error {
 	// rng stream in cold and incremental replays alike.
 	if !sh.snapAt.IsZero() && r.Active(sh.snapAt) {
 		//jouleslint:ignore hotpath -- one-time PSU export after the window (§9.2), not per step
-		sh.psus = r.Device.EnvSnapshot()
+		sh.psus = dev.EnvSnapshot()
 	}
 	return nil
 }
@@ -296,9 +344,10 @@ const streamWindowSlack = 2
 // goroutine, strictly in job order; cold, streamed and Fleet runs differ
 // only in that consumer. At most workers+streamWindowSlack shards are
 // admitted at once, each drawing its step buffers (power, traffic, wall)
-// from the player's free list, so the live step buffers of a run are
-// bounded by the window, not by the fleet. A Fleet keeps its player, and
-// with it the free list, across Resimulates.
+// and its device from the player's free lists, so the live step buffers
+// and devices of a run are bounded by the window, not by the fleet. A
+// Fleet keeps its player, and with it the free lists, across
+// Resimulates.
 type player struct {
 	// workers bounds the concurrent plays: ≤ 0 selects GOMAXPROCS, and 1
 	// plays every shard inline on the calling goroutine.
@@ -306,6 +355,21 @@ type player struct {
 	// free holds the step buffers no shard or retention uses, each with
 	// room for every step of the player's grid (a player serves one grid).
 	free [][]float64
+	// devices holds the devices no admitted shard uses; a shard Resets
+	// the one it is lent, so any of them serves any router.
+	devices []*device.Router
+}
+
+// lend lends an admitted shard a device, from the free list when it
+// has one.
+func (p *player) lend() *device.Router {
+	k := len(p.devices) - 1
+	if k < 0 {
+		return new(device.Router)
+	}
+	d := p.devices[k]
+	p.devices = p.devices[:k]
+	return d
 }
 
 // buffer returns a zeroed step buffer of n points, from the free list
@@ -335,8 +399,10 @@ func (p *player) play(n *Network, grid *stepGrid, jobs []replayJob, consume func
 		return &routerShard{
 			net:     n,
 			router:  j.router,
+			idx:     j.idx,
+			dev:     p.lend(),
 			meter:   j.meter,
-			events:  j.events,
+			sched:   j.sched,
 			grid:    grid,
 			snapAt:  n.Config.Start.Add(n.Config.Duration / 2),
 			power:   p.buffer(steps),
@@ -349,13 +415,17 @@ func (p *player) play(n *Network, grid *stepGrid, jobs []replayJob, consume func
 		if err == nil {
 			keep, err = consume(k, sh)
 		}
-		// The wall samples are scratch once play has reduced them.
+		// The wall samples are scratch once play has reduced them, and the
+		// device once the consumer has the shard's results: take it back
+		// and drop everything that reaches it.
 		p.free = append(p.free, sh.wall)
+		p.devices = append(p.devices, sh.dev)
 		if !keep {
 			p.free = append(p.free, sh.power, sh.traffic)
 			sh.power, sh.traffic = nil, nil
 		}
 		sh.wall, sh.done = nil, nil
+		sh.dev, sh.meter, sh.events = nil, nil, nil
 		return err
 	}
 

@@ -101,7 +101,7 @@ func (s *spiller) spill(_ int, sh *routerShard) (bool, error) {
 	if err := s.write(r.Name, "traffic", s.nanos, sh.traffic); err != nil {
 		return false, err
 	}
-	if sh.meter == nil {
+	if sh.autopower == nil {
 		return false, nil
 	}
 	series := []*timeseries.Series{sh.autopower}

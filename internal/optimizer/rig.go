@@ -8,7 +8,7 @@ import (
 // Rig is the scale-agnostic control rig for one fleet config: the
 // retained (incrementally resimulable) fleet the controller actuates,
 // plus the observation plane — hypnos topology and per-link traffic —
-// derived from a pristine build of the same config. The derivation works
+// derived from the fleet's pristine network. The derivation works
 // for any ispnet.Config: the calibrated 107-router build and generated
 // hierarchical fleets alike (hypnos.FromNetwork walks whatever internal
 // links the network has), so "run the closed loop at N routers" is one
@@ -20,7 +20,8 @@ type Rig struct {
 }
 
 // NewRig builds the fleet and derives its observation plane. The
-// topology and traffic come from a pristine build — not the retained
+// topology and traffic come from the fleet's pristine network (the
+// routers as Build made them, before any event) — not the retained
 // (mutated) network — so the observed load model stays independent of
 // the controller's own actuation.
 func NewRig(cfg ispnet.Config) (*Rig, error) {
@@ -28,11 +29,7 @@ func NewRig(cfg ispnet.Config) (*Rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	pristine, err := ispnet.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	topo, traffic, err := hypnos.FromNetwork(pristine)
+	topo, traffic, err := hypnos.FromNetwork(fleet.Pristine())
 	if err != nil {
 		return nil, err
 	}

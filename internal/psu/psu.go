@@ -86,7 +86,18 @@ func (c Curve) Efficiency(load float64) float64 {
 // to (0, 1]. This implements the paper's "PFE600 plus a constant offset"
 // model for unknown PSUs.
 func (c Curve) Offset(delta float64) Curve {
-	out := Curve{pts: make([]CurvePoint, len(c.pts))}
+	return c.OffsetInto(Curve{pts: make([]CurvePoint, len(c.pts))}, delta)
+}
+
+// OffsetInto is Offset writing the shifted points into dst's storage when
+// it has room for them, so a recycled owner re-derives its curve without
+// allocating. dst must not be used afterwards.
+func (c Curve) OffsetInto(dst Curve, delta float64) Curve {
+	out := Curve{pts: dst.pts[:0]}
+	if cap(out.pts) < len(c.pts) {
+		out.pts = make([]CurvePoint, len(c.pts))
+	}
+	out.pts = out.pts[:len(c.pts)]
 	for i, p := range c.pts {
 		e := p.Efficiency + delta
 		if e > 1 {

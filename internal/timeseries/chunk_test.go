@@ -102,19 +102,21 @@ func TestDecodeChunkZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAppendBlockAndBlocks checks the bulk append and the zero-copy block
-// iteration compose into an exact copy.
+// TestAppendBlockAndBlocks checks the zero-copy block iteration hands
+// over every point, in order, so appending the blocks rebuilds an exact
+// copy.
 func TestAppendBlockAndBlocks(t *testing.T) {
 	ts, vs := chunkColumns(777, 11)
-	src := New("src")
-	src.AppendBlock(ts, vs)
+	src := FromColumns("src", ts, vs)
 	if src.Len() != len(ts) {
-		t.Fatalf("AppendBlock len %d, want %d", src.Len(), len(ts))
+		t.Fatalf("FromColumns len %d, want %d", src.Len(), len(ts))
 	}
 
 	dst := New("dst")
 	if err := src.Blocks(100, func(bts []int64, bvs []float64) error {
-		dst.AppendBlock(bts, bvs)
+		for i, ns := range bts {
+			dst.Append(time.Unix(0, ns), bvs[i])
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -124,7 +126,7 @@ func TestAppendBlockAndBlocks(t *testing.T) {
 	}
 	for i := 0; i < src.Len(); i++ {
 		if src.NanoAt(i) != dst.NanoAt(i) || math.Float64bits(src.Value(i)) != math.Float64bits(dst.Value(i)) {
-			t.Fatalf("point %d differs after Blocks/AppendBlock round trip", i)
+			t.Fatalf("point %d differs after the Blocks round trip", i)
 		}
 	}
 

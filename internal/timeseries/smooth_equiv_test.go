@@ -134,7 +134,7 @@ func TestIntoVariantsMatchAllocatingReused(t *testing.T) {
 		got := a.BetweenInto(from, to, dstA)
 		assertSeriesEqual(t, "BetweenInto", got, want)
 
-		wantSub, errW := Sub(a, b)
+		wantSub, errW := SubInto(a, b, New(""))
 		gotSub, errG := SubInto(a, b, dstB)
 		if (errW == nil) != (errG == nil) {
 			t.Fatalf("SubInto error mismatch: %v vs %v", errG, errW)

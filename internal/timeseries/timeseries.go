@@ -38,7 +38,7 @@ type Point struct {
 //
 // A Series is not safe for concurrent use: even read methods may fix up
 // internal state lazily (time ordering, the value-sorted cache consumed by
-// Median and Quantile). Confine a series to one goroutine — as the fleet
+// Median). Confine a series to one goroutine — as the fleet
 // simulation does with its per-router shards — or synchronize externally.
 type Series struct {
 	Name string
@@ -47,8 +47,8 @@ type Series struct {
 	// sorted records whether ts is currently ascending; Append clears it
 	// only when an out-of-order sample arrives.
 	sorted bool
-	// valsSorted caches the value-sorted samples behind Median and
-	// Quantile; Append invalidates it. Reusing the buffer means repeated
+	// valsSorted caches the value-sorted samples behind Median; Append
+	// invalidates it. Reusing the buffer means repeated
 	// order statistics on a series with tens of thousands of points cost
 	// one sort, not a fresh allocation plus sort per call.
 	valsSorted []float64
@@ -120,20 +120,6 @@ func (s *Series) appendNano(ns int64, v float64) {
 	s.valsOK = false
 	s.ts = append(s.ts, ns)
 	s.vs = append(s.vs, v)
-}
-
-// AppendBlock appends parallel timestamp (unix-nanosecond) and value
-// columns in one call — the bulk form of Append used by spill readers
-// reassembling a series from decoded chunks. The columns must be the same
-// length; ordering is fixed up lazily exactly as for Append.
-func (s *Series) AppendBlock(ts []int64, vs []float64) {
-	if len(ts) != len(vs) {
-		panic(fmt.Sprintf("timeseries: AppendBlock column lengths %d vs %d", len(ts), len(vs)))
-	}
-	s.grow(len(s.ts) + len(ts))
-	for i, ns := range ts {
-		s.appendNano(ns, vs[i])
-	}
 }
 
 // Blocks calls fn over the series in time order, in runs of at most size
@@ -227,12 +213,6 @@ func (s *Series) Value(i int) float64 {
 	return s.vs[i]
 }
 
-// TimeAt returns the i-th timestamp in time order (in UTC).
-func (s *Series) TimeAt(i int) time.Time {
-	s.ensureSorted()
-	return time.Unix(0, s.ts[i]).UTC()
-}
-
 // NanoAt returns the i-th timestamp in time order as unix nanoseconds —
 // the allocation-free accessor for hot loops that only compare clocks.
 func (s *Series) NanoAt(i int) int64 {
@@ -260,16 +240,6 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// Times returns the timestamps in time order as a fresh slice.
-func (s *Series) Times() []time.Time {
-	s.ensureSorted()
-	out := make([]time.Time, len(s.ts))
-	for i, ns := range s.ts {
-		out[i] = time.Unix(0, ns).UTC()
-	}
-	return out
-}
-
 // Between returns a new series restricted to points with from ≤ t < to.
 func (s *Series) Between(from, to time.Time) *Series {
 	return s.BetweenInto(from, to, New(s.Name))
@@ -289,19 +259,6 @@ func (s *Series) BetweenInto(from, to time.Time, dst *Series) *Series {
 	dst.ts = append(dst.ts, s.ts[lo:hi]...)
 	dst.vs = append(dst.vs, s.vs[lo:hi]...)
 	return dst
-}
-
-// Clone returns an independent copy of the series under the given name (""
-// keeps the original name).
-func (s *Series) Clone(name string) *Series {
-	s.ensureSorted()
-	if name == "" {
-		name = s.Name
-	}
-	out := NewWithCap(name, len(s.ts))
-	out.ts = append(out.ts, s.ts...)
-	out.vs = append(out.vs, s.vs...)
-	return out
 }
 
 // Mean returns the mean value of the series, or 0 if empty.
@@ -345,54 +302,6 @@ func (s *Series) Median() float64 {
 	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the series values using
-// linear interpolation between order statistics — the same estimator as
-// stats.Quantile — or 0 for an empty series. Repeated calls reuse the
-// cached sorted values.
-func (s *Series) Quantile(q float64) float64 {
-	n := len(s.vs)
-	if n == 0 {
-		return 0
-	}
-	vs := s.sortedValues()
-	if q <= 0 {
-		return vs[0]
-	}
-	if q >= 1 {
-		return vs[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return vs[lo]
-	}
-	frac := pos - float64(lo)
-	return vs[lo]*(1-frac) + vs[hi]*frac
-}
-
-// Min returns the minimum value, or +Inf if the series is empty.
-func (s *Series) Min() float64 {
-	m := math.Inf(1)
-	for _, v := range s.vs {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the maximum value, or -Inf if the series is empty.
-func (s *Series) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range s.vs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Scale returns a new series with every value multiplied by f.
 func (s *Series) Scale(f float64) *Series {
 	s.ensureSorted()
@@ -427,29 +336,6 @@ func AggMean(vs []float64) float64 {
 	}
 	return s / float64(len(vs))
 }
-
-// AggSum sums the bucket samples.
-func AggSum(vs []float64) float64 {
-	var s float64
-	for _, v := range vs {
-		s += v
-	}
-	return s
-}
-
-// AggMax keeps the maximum bucket sample.
-func AggMax(vs []float64) float64 {
-	m := math.Inf(-1)
-	for _, v := range vs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// AggLast keeps the last bucket sample (gauge semantics).
-func AggLast(vs []float64) float64 { return vs[len(vs)-1] }
 
 // Resample buckets the series into windows of the given step, aggregating
 // each bucket with agg. The resulting points are stamped at bucket starts
@@ -610,17 +496,11 @@ func SumAligned(name string, step time.Duration, series ...*Series) (*Series, er
 	return out, nil
 }
 
-// Sub returns a-b on a's timestamps, matching each point of a with the
-// nearest-earlier point of b (sample-and-hold). Points of a before b's
-// first sample are dropped. It returns ErrNoOverlap when nothing matches.
-func Sub(a, b *Series) (*Series, error) {
-	return SubInto(a, b, New(""))
-}
-
-// SubInto is Sub writing into dst instead of allocating: dst is reset
-// (keeping its backing capacity) and filled with the matched
-// differences. It returns dst. dst must alias neither input. The values
-// are bit-identical to Sub's.
+// SubInto returns a-b on a's timestamps, matching each point of a with
+// the nearest-earlier point of b (sample-and-hold); points of a before
+// b's first sample are dropped, and it returns ErrNoOverlap when nothing
+// matches. The differences are written into dst, which is reset (keeping
+// its backing capacity) and returned; dst must alias neither input.
 func SubInto(a, b, dst *Series) (*Series, error) {
 	a.ensureSorted()
 	b.ensureSorted()

@@ -13,6 +13,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Power is an electrical power in watts.
@@ -199,13 +200,13 @@ func parseSI(s, unit string) (float64, error) {
 	}
 	t = strings.TrimSpace(t)
 	mult := 1.0
-	if t != "" {
-		switch t[len(t)-1] {
+	if r, size := utf8.DecodeLastRuneInString(t); size > 0 {
+		switch r {
 		case 'p':
 			mult = 1e-12
 		case 'n':
 			mult = 1e-9
-		case 'u':
+		case 'u', 'µ', 'μ': // ASCII u, the micro sign String prints, Greek mu
 			mult = 1e-6
 		case 'm':
 			mult = 1e-3
@@ -219,7 +220,7 @@ func parseSI(s, unit string) (float64, error) {
 			mult = 1e12
 		}
 		if mult != 1.0 {
-			t = strings.TrimSpace(t[:len(t)-1])
+			t = strings.TrimSpace(t[:len(t)-size])
 		}
 	}
 	v, err := strconv.ParseFloat(t, 64)
